@@ -22,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from tcfree.classes import CHI_BOUNDS
 from tcfree.generators import gen_class_member, gen_hyperantihole
 from tcfree.graphs import WeightedGraph
 from tcfree.oracles import brute_chi, brute_omega_w
@@ -33,15 +34,6 @@ class SweepConfig:
     max_n: int = 12
     seed: int = 0
     pieces: int = 2
-
-
-BOUNDS = {
-    "gu": ("omega + 1", lambda w: w + 1),
-    "gt": ("floor(3w/2)", lambda w: 3 * w // 2),
-    "gutcap": ("floor(3w/2)", lambda w: 3 * w // 2),
-    "gut": ("2w^4", lambda w: 2 * w**4),
-    "hyperantihole7": ("floor(4w/3)", lambda w: 4 * w // 3),
-}
 
 
 def _instance(cls: str, trial_seed: int, cfg: SweepConfig):
@@ -56,7 +48,7 @@ def _instance(cls: str, trial_seed: int, cfg: SweepConfig):
 
 
 def sweep_class(cls: str, cfg: SweepConfig) -> dict:
-    formula, bound_fn = BOUNDS[cls]
+    formula, bound_fn = CHI_BOUNDS[cls]
     gaps: dict[int, int] = {}
     worst_ratio = 0.0
     worst_seed = None
@@ -92,14 +84,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = SweepConfig(trials=args.trials, max_n=args.max_n, seed=args.seed, pieces=args.pieces)
 
-    print(f"{'class':<16} {'bound':<12} {'fail':>4} {'worst chi/bound':>16}  chi-omega gaps")
+    print(f"{'class':<16} {'bound':<20} {'fail':>4} {'worst chi/bound':>16}  chi-omega gaps")
     any_failed = False
-    for cls in BOUNDS:
+    for cls in CHI_BOUNDS:
         row = sweep_class(cls, cfg)
         any_failed = any_failed or row["failures"] > 0
         gap_text = " ".join(f"{k}:{v}" for k, v in sorted(row["gaps"].items()))
         print(
-            f"{row['cls']:<16} {row['formula']:<12} {row['failures']:>4} "
+            f"{row['cls']:<16} {row['formula']:<20} {row['failures']:>4} "
             f"{row['worst_ratio']:>12.3f} @{row['worst_seed']:<6} {gap_text}"
         )
     return 1 if any_failed else 0

@@ -20,7 +20,8 @@ scope: maximum clique is NP-hard there and the rest are open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .chordal import (
     NotChordalError,
@@ -30,7 +31,7 @@ from .chordal import (
     is_chordal,
     simplicial_order,
 )
-from .decomposition import build_tree, solve_coloring, solve_mwc, solve_mwss
+from .decomposition import Join, JoinPiece, build_tree, solve_coloring, solve_mwc, solve_mwss
 from .detectors import (
     C6BAR,
     CAP,
@@ -59,7 +60,6 @@ from .graphs import (
     true_twin_partition,
 )
 from .rings import (
-    _cycle_mwss,
     _single_cycle_order,
     hyperhole_color,
     hyperhole_mwc,
@@ -69,6 +69,16 @@ from .rings import (
 )
 
 CLASS_IDS = ("gut", "gu", "gt", "gutcap")
+
+# Upper bounds on the chromatic number in terms of the clique number omega,
+# each with its formula as reported: per class, plus 7-hyperantiholes.
+CHI_BOUNDS: dict[str, tuple[str, Callable[[int], int]]] = {
+    "gu": ("omega + 1", lambda omega: omega + 1),
+    "gt": ("floor(3 * omega / 2)", lambda omega: 3 * omega // 2),
+    "gutcap": ("floor(3 * omega / 2)", lambda omega: 3 * omega // 2),
+    "gut": ("2 * omega ** 4", lambda omega: 2 * omega**4),
+    "hyperantihole7": ("floor(4 * omega / 3)", lambda omega: 4 * omega // 3),
+}
 
 # Anticomponent labels reported by recognize_bu_h.
 BUH_K1 = "K1"
@@ -217,117 +227,75 @@ def recognize_gu(g: Graph) -> Recognition:
     return Recognition(True)
 
 
-def _buh_pieces(g: Graph) -> list[tuple[frozenset[int], str]]:
+def _edgeless_mwc(wg: WeightedGraph) -> tuple:
+    """The heaviest vertex, the lower label on ties, if its weight is positive."""
+    w = wg.weights
+    v = max(range(wg.graph.n), key=lambda u: (w[u], -u))
+    return (w[v], frozenset([v])) if w[v] > 0 else (0, frozenset())
+
+
+def _edgeless_mwss(wg: WeightedGraph) -> tuple:
+    chosen = frozenset(v for v in range(wg.graph.n) if wg.weights[v] > 0)
+    return sum(wg.weights[v] for v in chosen), chosen
+
+
+def _edgeless_color(g: Graph) -> Coloring:
+    return Coloring((1,) * g.n, 1)
+
+
+def _hole_color(g: Graph) -> Coloring:
+    """Two colors alternating around the hole, a third for the last vertex
+    of an odd one."""
+    cycle = _single_cycle_order(g)
+    colors = [0] * g.n
+    for i, v in enumerate(cycle):
+        colors[v] = 1 + i % 2
+    if len(cycle) % 2:
+        colors[cycle[-1]] = 3
+    return Coloring(tuple(colors), 3 if len(cycle) % 2 else 2)
+
+
+def _gu_pieces(g: Graph) -> list[JoinPiece]:
+    """The anticomponents of a gu leaf with their solvers. K1 and K2bar
+    pieces are edgeless, holes are hyperholes with single-vertex parts, and
+    path unions are chordal."""
     pieces = recognize_bu_h(g)
     if pieces is None:
         raise NotInClassError("decomposition leaf fails the gu basic-family test")
-    return pieces
-
-
-def _buh_cycle(g: Graph, vs: frozenset[int]) -> list[int]:
-    """Hole anticomponent's cycle order in original labels."""
-    h, hverts = induced_subgraph(g, vs)
-    order = _single_cycle_order(h)
-    return [hverts[i] for i in order]
-
-
-def _buh_color(g: Graph) -> Coloring:
-    """Color each anticomponent with fresh colors; anticomponents are
-    pairwise complete so the palettes cannot be shared."""
-    colors = [0] * g.n
-    offset = 0
-    for vs, label in _buh_pieces(g):
+    out = []
+    for vs, label in pieces:
         if label in (BUH_K1, BUH_K2BAR):
-            for v in vs:
-                colors[v] = offset + 1
-            used = 1
+            solvers = (_edgeless_mwc, _edgeless_mwss, _edgeless_color)
         elif label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            cycle = _buh_cycle(g, vs)
-            for i, v in enumerate(cycle):
-                colors[v] = offset + 1 + (i % 2)
-            used = 2
-            if len(cycle) % 2:
-                colors[cycle[-1]] = offset + 3
-                used = 3
+            h, _ = induced_subgraph(g, vs)
+            parts = [(v,) for v in _single_cycle_order(h)]
+            solvers = (partial(hyperhole_mwc, parts=parts), partial(hyperhole_mwss, parts=parts), _hole_color)
         else:
-            h, hverts = induced_subgraph(g, vs)
-            col = chordal_color(h)
-            for i in range(h.n):
-                colors[hverts[i]] = offset + col.colors[i]
-            used = col.count
-        offset += used
-    return Coloring(tuple(colors), offset)
+            solvers = (chordal_mwc, chordal_mwss, chordal_color)
+        out.append(JoinPiece(tuple(sorted(vs)), *solvers))
+    return out
 
 
-def _buh_mwc(wg: WeightedGraph) -> tuple:
-    """Anticomponents are pairwise complete, so the best clique is the
-    union of one best clique per anticomponent."""
-    g, w = wg.graph, wg.weights
-    total = 0
-    chosen: set[int] = set()
-    for vs, label in _buh_pieces(g):
-        if label == BUH_K1:
-            (v,) = vs
-            if w[v] > 0:
-                total += w[v]
-                chosen.add(v)
-        elif label == BUH_K2BAR:
-            v = max(vs, key=lambda u: (w[u], -u))
-            if w[v] > 0:
-                total += w[v]
-                chosen.add(v)
-        elif label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            cycle = _buh_cycle(g, vs)
-            k = len(cycle)
-            best = 0
-            best_set: frozenset[int] = frozenset()
-            for i in range(k):
-                pair = [v for v in (cycle[i], cycle[(i + 1) % k]) if w[v] > 0]
-                value = sum(w[v] for v in pair)
-                if value > best:
-                    best, best_set = value, frozenset(pair)
-            total += best
-            chosen |= best_set
-        else:
-            h, hverts = induced_subgraph(g, vs)
-            value, sub_set = chordal_mwc(WeightedGraph(h, tuple(w[u] for u in hverts)))
-            total += value
-            chosen |= {hverts[i] for i in sub_set}
-    return total, frozenset(chosen)
+_GU_LEAF = Join(_gu_pieces)
 
 
-def _buh_mwss(wg: WeightedGraph) -> tuple:
-    """A stable set cannot cross anticomponents, so take the best one."""
-    g, w = wg.graph, wg.weights
-    best = 0
-    best_set: frozenset[int] = frozenset()
-    for vs, label in _buh_pieces(g):
-        if label == BUH_K1:
-            (v,) = vs
-            value, sset = (w[v], frozenset([v])) if w[v] > 0 else (0, frozenset())
-        elif label == BUH_K2BAR:
-            sset = frozenset(v for v in vs if w[v] > 0)
-            value = sum(w[v] for v in sset)
-        elif label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            cycle = _buh_cycle(g, vs)
-            value, idxs = _cycle_mwss([w[v] for v in cycle])
-            sset = frozenset(cycle[i] for i in idxs)
-        else:
-            h, hverts = induced_subgraph(g, vs)
-            value, sub_set = chordal_mwss(WeightedGraph(h, tuple(w[u] for u in hverts)))
-            sset = frozenset(hverts[i] for i in sub_set)
-        if value > best:
-            best, best_set = value, sset
-    return best, best_set
+def mwc_gu(wg: WeightedGraph) -> tuple:
+    return solve_mwc(wg, build_tree(wg.graph), _GU_LEAF.mwc)
+
+
+def mwss_gu(wg: WeightedGraph) -> tuple:
+    return solve_mwss(wg, build_tree(wg.graph), _GU_LEAF.mwss)
 
 
 def color_gu(g: Graph) -> Coloring:
-    return solve_coloring(g, _buh_color)
+    return solve_coloring(g, build_tree(g), _GU_LEAF.color)
 
 
 def mwc_mwss_gu(wg: WeightedGraph) -> tuple:
-    """((clique weight, clique), (stable weight, stable set))."""
-    return solve_mwc(wg, _buh_mwc), solve_mwss(wg, _buh_mwss)
+    """((clique weight, clique), (stable weight, stable set)), over one
+    decomposition tree."""
+    tree = build_tree(wg.graph)
+    return solve_mwc(wg, tree, _GU_LEAF.mwc), solve_mwss(wg, tree, _GU_LEAF.mwss)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +373,7 @@ def _bt_mwss_leaf(wg: WeightedGraph) -> tuple:
 
 
 def mwss_gt(wg: WeightedGraph) -> tuple:
-    return solve_mwss(wg, _bt_mwss_leaf)
+    return solve_mwss(wg, build_tree(wg.graph), _bt_mwss_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -436,67 +404,51 @@ def recognize_gutcap(g: Graph) -> Recognition:
     return Recognition(True)
 
 
-def _bch_pieces(g: Graph):
-    """Anticomponents tagged for dispatch: (subgraph, vertex map, parts)
-    with parts None for the chordal ones. Raises when some anticomponent is
-    neither chordal nor a hyperhole."""
+def _gutcap_pieces(g: Graph) -> list[JoinPiece]:
+    """The anticomponents of a gutcap leaf with their solvers: chordal ones
+    and hyperholes. Raises when some anticomponent is neither."""
     out = []
     for ac in anticomponents(g):
         h, hverts = induced_subgraph(g, ac)
         if is_chordal(h):
-            out.append((h, hverts, None))
+            out.append(JoinPiece(tuple(hverts), chordal_mwc, chordal_mwss, chordal_color))
             continue
         parts = recognize_hyperhole(h)
         if parts is None:
             raise NotInClassError(
                 "leaf anticomponent is neither chordal nor a hyperhole"
             )
-        out.append((h, hverts, parts))
+        out.append(
+            JoinPiece(
+                tuple(hverts),
+                partial(hyperhole_mwc, parts=parts),
+                partial(hyperhole_mwss, parts=parts),
+                partial(hyperhole_color, parts=parts),
+            )
+        )
     return out
 
 
-def _bch_color(g: Graph) -> Coloring:
-    colors = [0] * g.n
-    offset = 0
-    for h, hverts, parts in _bch_pieces(g):
-        col = chordal_color(h) if parts is None else hyperhole_color(h, parts)
-        for i in range(h.n):
-            colors[hverts[i]] = offset + col.colors[i]
-        offset += col.count
-    return Coloring(tuple(colors), offset)
+_GUTCAP_LEAF = Join(_gutcap_pieces)
 
 
-def _bch_mwc(wg: WeightedGraph) -> tuple:
-    g, w = wg.graph, wg.weights
-    total = 0
-    chosen: set[int] = set()
-    for h, hverts, parts in _bch_pieces(g):
-        hw = WeightedGraph(h, tuple(w[v] for v in hverts))
-        value, sub_set = chordal_mwc(hw) if parts is None else hyperhole_mwc(hw, parts)
-        total += value
-        chosen |= {hverts[i] for i in sub_set}
-    return total, frozenset(chosen)
+def mwc_gutcap(wg: WeightedGraph) -> tuple:
+    return solve_mwc(wg, build_tree(wg.graph), _GUTCAP_LEAF.mwc)
 
 
-def _bch_mwss(wg: WeightedGraph) -> tuple:
-    g, w = wg.graph, wg.weights
-    best = 0
-    best_set: frozenset[int] = frozenset()
-    for h, hverts, parts in _bch_pieces(g):
-        hw = WeightedGraph(h, tuple(w[v] for v in hverts))
-        value, sub_set = chordal_mwss(hw) if parts is None else hyperhole_mwss(hw, parts)
-        if value > best:
-            best, best_set = value, frozenset(hverts[i] for i in sub_set)
-    return best, best_set
+def mwss_gutcap(wg: WeightedGraph) -> tuple:
+    return solve_mwss(wg, build_tree(wg.graph), _GUTCAP_LEAF.mwss)
 
 
 def color_gutcap(g: Graph) -> Coloring:
-    return solve_coloring(g, _bch_color)
+    return solve_coloring(g, build_tree(g), _GUTCAP_LEAF.color)
 
 
 def mwc_mwss_gutcap(wg: WeightedGraph) -> tuple:
-    """((clique weight, clique), (stable weight, stable set))."""
-    return solve_mwc(wg, _bch_mwc), solve_mwss(wg, _bch_mwss)
+    """((clique weight, clique), (stable weight, stable set)), over one
+    decomposition tree."""
+    tree = build_tree(wg.graph)
+    return solve_mwc(wg, tree, _GUTCAP_LEAF.mwc), solve_mwss(wg, tree, _GUTCAP_LEAF.mwss)
 
 
 # ---------------------------------------------------------------------------

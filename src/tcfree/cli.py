@@ -15,19 +15,24 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .classes import (
+    CHI_BOUNDS,
     CLASS_IDS,
     NotInClassError,
     color_gu,
     color_gutcap,
     mwc_gt,
-    mwc_mwss_gu,
-    mwc_mwss_gutcap,
+    mwc_gu,
+    mwc_gutcap,
     mwss_gt,
+    mwss_gu,
+    mwss_gutcap,
     recognize_gt,
     recognize_gu,
     recognize_gut,
@@ -42,7 +47,7 @@ from .generators import (
     gen_hyperhole,
     gen_ring,
 )
-from .graphs import Coloring, Graph, WeightedGraph, is_proper_coloring
+from .graphs import Coloring, WeightedGraph, is_clique, is_proper_coloring, is_stable_set
 from .io import ParseError, format_graph, parse_graph
 from .oracles import brute_chi, brute_omega_w
 
@@ -53,18 +58,18 @@ _RECOGNIZERS = {
     "gutcap": recognize_gutcap,
 }
 
-# solvable class/problem pairs; finding a maximum clique in gut is np-hard
-# and the other gut problems and gt coloring have no known polynomial
-# algorithm, so those pairs are rejected up front
-_SUPPORTED = {
-    ("gu", "mwc"),
-    ("gu", "mwss"),
-    ("gu", "color"),
-    ("gt", "mwc"),
-    ("gt", "mwss"),
-    ("gutcap", "mwc"),
-    ("gutcap", "mwss"),
-    ("gutcap", "color"),
+# the solver of each solvable class/problem pair; finding a maximum clique
+# in gut is np-hard and the other gut problems and gt coloring have no known
+# polynomial algorithm, so those pairs are rejected up front
+_SOLVERS = {
+    ("gu", "mwc"): mwc_gu,
+    ("gu", "mwss"): mwss_gu,
+    ("gu", "color"): color_gu,
+    ("gt", "mwc"): mwc_gt,
+    ("gt", "mwss"): mwss_gt,
+    ("gutcap", "mwc"): mwc_gutcap,
+    ("gutcap", "mwss"): mwss_gutcap,
+    ("gutcap", "color"): color_gutcap,
 }
 
 _UNSUPPORTED_WHY = {
@@ -73,15 +78,6 @@ _UNSUPPORTED_WHY = {
     ("gut", "color"): "no polynomial algorithm is known for this pair",
     ("gt", "color"): "no polynomial algorithm is known for this pair",
 }
-
-_CHI_BOUND_FORMULAS = {
-    "gu": "omega + 1",
-    "gt": "floor(3 * omega / 2)",
-    "gutcap": "floor(3 * omega / 2)",
-    "gut": "2 * omega ** 4",
-    "hyperantihole7": "floor(4 * omega / 3)",
-}
-
 
 class CliError(Exception):
     """User-facing input problem; maps to exit code 2."""
@@ -135,18 +131,31 @@ def _to_external(obj):
     return obj
 
 
+def _decimal_text(q: Fraction) -> str:
+    """Exact decimal text of q. Weights are read from decimal text, so every
+    value has a denominator that divides a power of ten."""
+    places = 0
+    while 10**places % q.denominator:
+        places += 1
+    digits = str(abs(q.numerator) * 10**places // q.denominator).rjust(places + 1, "0")
+    if places:
+        digits = f"{digits[:-places]}.{digits[-places:]}"
+    return f"-{digits}" if q < 0 else digits
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write payload as JSON; Fractions become numbers in exact decimals."""
+    exact: list[str] = []
 
+    def placeholder(obj):
+        if not isinstance(obj, Fraction):
+            raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+        exact.append(_decimal_text(obj))
+        return f"\0{len(exact) - 1}"
 
-def _check_clique(g: Graph, vertices: frozenset[int]) -> bool:
-    vs = sorted(vertices)
-    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
-
-
-def _check_stable(g: Graph, vertices: frozenset[int]) -> bool:
-    vs = sorted(vertices)
-    return not any(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+    text = json.dumps(payload, sort_keys=True, indent=2, default=placeholder)
+    text = re.sub(r'"\\u0000(\d+)"', lambda m: exact[int(m.group(1))], text)
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +173,14 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 def _solve_dispatch(cls: str, problem: str, wg: WeightedGraph):
     """Run the solver; returns (solution dict, value) with 1-based labels."""
+    solver = _SOLVERS[(cls, problem)]
     if problem == "color":
-        col: Coloring = color_gu(wg.graph) if cls == "gu" else color_gutcap(wg.graph)
+        col: Coloring = solver(wg.graph)
         if not is_proper_coloring(wg.graph, col):
             raise AssertionError("coloring is not proper")
         return {"kind": "coloring", "colors": list(col.colors), "count": col.count}, col.count
-    if cls == "gu":
-        pair = mwc_mwss_gu(wg)
-        value, chosen = pair[0] if problem == "mwc" else pair[1]
-    elif cls == "gutcap":
-        pair = mwc_mwss_gutcap(wg)
-        value, chosen = pair[0] if problem == "mwc" else pair[1]
-    else:
-        value, chosen = mwc_gt(wg) if problem == "mwc" else mwss_gt(wg)
-    ok = _check_clique(wg.graph, chosen) if problem == "mwc" else _check_stable(wg.graph, chosen)
+    value, chosen = solver(wg)
+    ok = is_clique(wg.graph, chosen) if problem == "mwc" else is_stable_set(wg.graph, chosen)
     if not ok:
         raise AssertionError("selected vertices violate the adjacency requirement")
     if sum(wg.weights[v] for v in chosen) != value:
@@ -188,7 +191,7 @@ def _solve_dispatch(cls: str, problem: str, wg: WeightedGraph):
 
 def cmd_solve(args: argparse.Namespace) -> int:
     pair = (args.cls, args.problem)
-    if pair not in _SUPPORTED:
+    if pair not in _SOLVERS:
         why = _UNSUPPORTED_WHY.get(pair, "unsupported class/problem pair")
         print(f"error: {args.cls}/{args.problem}: {why}", file=sys.stderr)
         return 3
@@ -268,21 +271,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chi_bound(cls: str, omega: int) -> int:
-    if cls == "gu":
-        return omega + 1
-    if cls in ("gt", "gutcap"):
-        return (3 * omega) // 2
-    if cls == "gut":
-        return 2 * omega**4
-    return (4 * omega) // 3
-
-
 def cmd_verify_chi(args: argparse.Namespace) -> int:
     if args.max_n > 16:
         raise CliError("--max-n above 16 is out of brute-force range")
     if args.trials < 1:
         raise CliError("--trials must be positive")
+    formula, bound_of = CHI_BOUNDS[args.cls]
     results = []
     all_ok = True
     for index in range(args.trials):
@@ -294,7 +288,7 @@ def cmd_verify_chi(args: argparse.Namespace) -> int:
             g = gen_class_member(trial_seed, args.cls, pieces=2, max_n=args.max_n)
         omega = brute_omega_w(WeightedGraph(g, (1,) * g.n))
         chi = brute_chi(g)
-        bound = _chi_bound(args.cls, omega)
+        bound = bound_of(omega)
         ok = chi <= bound
         all_ok = all_ok and ok
         results.append(
@@ -314,7 +308,7 @@ def cmd_verify_chi(args: argparse.Namespace) -> int:
             "trials": args.trials,
             "max_n": args.max_n,
             "seed": args.seed,
-            "bound": _CHI_BOUND_FORMULAS[args.cls],
+            "bound": formula,
             "all_ok": all_ok,
             "results": results,
         }

@@ -6,7 +6,9 @@ cutset of its own; decomposing by extreme partitions gives a chain-shaped
 tree whose leaves (atoms) are solved directly, and whose answers combine:
 coloring by palette permutation across the cutset, maximum weight clique by
 taking the best leaf, maximum weight stable set by reweighting the cutset
-with its marginal value against the A side.
+with its marginal value against the A side. build_tree computes the tree
+once; the three solvers walk it. Leaves that are joins of simpler pieces
+get their leaf solvers from Join.
 
 Cutset candidates come from a minimal triangulation (maximum cardinality
 search with fill edges, reachability tested by minimax weight): every
@@ -24,10 +26,12 @@ from .graphs import (
     Coloring,
     Graph,
     WeightedGraph,
+    bits_list,
     induced_subgraph,
     is_clique,
     is_clique_mask,
     iter_bits,
+    mask_of,
     masked_components,
 )
 
@@ -48,14 +52,14 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int]]:
     neighbors at distance -1.
     """
     unnumbered = mask
-    weight = {v: 0 for v in iter_bits(mask)}
-    fills = {v: 0 for v in iter_bits(mask)}
+    remaining = bits_list(mask)
+    weight = dict.fromkeys(remaining, 0)
+    fills = dict.fromkeys(remaining, 0)
     selection: list[int] = []
-    while unnumbered:
-        v = -1
-        for u in iter_bits(unnumbered):
-            if v < 0 or weight[u] > weight[v]:
-                v = u
+    while remaining:
+        # the least vertex of largest weight: max keeps the first maximum
+        v = max(remaining, key=weight.__getitem__)
+        remaining.remove(v)
         selection.append(v)
         unnumbered &= ~(1 << v)
 
@@ -140,16 +144,6 @@ def find_clique_cutset(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int
     return frozenset(iter_bits(a)), frozenset(iter_bits(b)), frozenset(iter_bits(c))
 
 
-def find_extreme_clique_cut(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
-    """An extreme clique cutset partition (A, B, C): additionally G[A u C]
-    has no clique cutset. None when g is an atom."""
-    cut = _extreme_cut_in_mask(g, g.full_mask())
-    if cut is None:
-        return None
-    a, b, c = cut
-    return frozenset(iter_bits(a)), frozenset(iter_bits(b)), frozenset(iter_bits(c))
-
-
 @dataclass(frozen=True)
 class TreeNode:
     id: int
@@ -206,20 +200,22 @@ def build_tree(g: Graph) -> DecompositionTree:
     return DecompositionTree(tuple(nodes), root)
 
 
+def find_extreme_clique_cut(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
+    """An extreme clique cutset partition (A, B, C): additionally G[A u C]
+    has no clique cutset. None when g is an atom. Read off the root of the
+    decomposition tree."""
+    tree = build_tree(g)
+    root = tree.node(tree.root)
+    if root.kind == "leaf":
+        return None
+    atom, rest = (tree.node(i) for i in root.children)
+    c = frozenset(root.cutset)
+    return frozenset(atom.vertices) - c, frozenset(rest.vertices) - c, c
+
+
 def atom_masks(g: Graph) -> list[int]:
     """Vertex masks of the atoms of the extreme decomposition."""
-    out: list[int] = []
-    stack = [g.full_mask()]
-    while stack:
-        mask = stack.pop()
-        cut = _extreme_cut_in_mask(g, mask)
-        if cut is None:
-            out.append(mask)
-        else:
-            a, b, c = cut
-            stack.append(b | c)
-            stack.append(a | c)
-    return out
+    return [mask_of(nd.vertices) for nd in build_tree(g).leaves()]
 
 
 def glue(g1: Graph, g2: Graph, clique1: Sequence[int], clique2: Sequence[int]) -> Graph:
@@ -243,47 +239,44 @@ def glue(g1: Graph, g2: Graph, clique1: Sequence[int], clique2: Sequence[int]) -
     return Graph(nxt, edges)
 
 
-def _leaf_weighted(g: Graph, weights: Sequence, mask: int, leaf: Callable) -> tuple:
+def _leaf_weighted(g: Graph, weights: Sequence, vertices: Sequence[int], leaf: Callable) -> tuple:
     """Run a leaf solver on the induced subgraph and translate back."""
-    if mask == 0:
+    if not vertices:
         return 0, frozenset()
-    sub, verts = induced_subgraph(g, list(iter_bits(mask)))
+    sub, verts = induced_subgraph(g, vertices)
     value, chosen = leaf(WeightedGraph(sub, tuple(weights[v] for v in verts)))
     return value, frozenset(verts[i] for i in chosen)
 
 
-def solve_mwc(wg: WeightedGraph, leaf: LeafMwcSolver) -> tuple:
-    """Maximum weight clique via the decomposition: every clique lives
-    inside some atom, so the best atom answer wins."""
-    g = wg.graph
+def solve_mwc(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwcSolver) -> tuple:
+    """Maximum weight clique over the decomposition tree of wg's graph:
+    every clique lives inside some atom, so the best atom answer wins."""
     best = 0
     best_set: frozenset[int] = frozenset()
-    for mask in atom_masks(g):
-        value, chosen = _leaf_weighted(g, wg.weights, mask, leaf)
+    for node in tree.leaves():
+        value, chosen = _leaf_weighted(wg.graph, wg.weights, node.vertices, leaf)
         if value > best:
             best, best_set = value, chosen
     return best, best_set
 
 
-def solve_coloring(g: Graph, leaf_color: LeafColorer) -> Coloring:
-    """Optimal coloring via the decomposition. Each side is colored
-    recursively; the atom side's palette is permuted to agree with the other
-    side on the cutset clique, so the union stays proper and the color count
-    is the larger of the two."""
+def solve_coloring(g: Graph, tree: DecompositionTree, leaf_color: LeafColorer) -> Coloring:
+    """Optimal coloring over the decomposition tree of g. Each side is
+    colored recursively; the atom side's palette is permuted to agree with
+    the other side on the cutset clique, so the union stays proper and the
+    color count is the larger of the two."""
 
-    def rec(mask: int) -> tuple[dict[int, int], int]:
-        cut = _extreme_cut_in_mask(g, mask)
-        if cut is None:
-            sub, verts = induced_subgraph(g, list(iter_bits(mask)))
+    def rec(node: TreeNode) -> tuple[dict[int, int], int]:
+        if node.kind == "leaf":
+            sub, verts = induced_subgraph(g, node.vertices)
             col = leaf_color(sub)
-            return {verts[i]: col.colors[i] for i in range(len(verts))}, col.count
-        a, b, c = cut
-        left, n_left = rec(a | c)
-        right, n_right = rec(b | c)
+            return dict(zip(verts, col.colors)), col.count
+        left, n_left = rec(tree.node(node.children[0]))
+        right, n_right = rec(tree.node(node.children[1]))
         total = max(n_left, n_right)
         perm: dict[int, int] = {}
         taken = set()
-        for v in iter_bits(c):
+        for v in node.cutset:
             perm[left[v]] = right[v]
             taken.add(right[v])
         free = iter(x for x in range(1, total + 1) if x not in taken)
@@ -295,39 +288,39 @@ def solve_coloring(g: Graph, leaf_color: LeafColorer) -> Coloring:
             merged[v] = perm[col]
         return merged, total
 
-    if g.n == 0:
-        return Coloring((), 0)
-    assignment, count = rec(g.full_mask())
+    assignment, count = rec(tree.node(tree.root))
     return Coloring(tuple(assignment[v] for v in range(g.n)), count)
 
 
-def solve_mwss(wg: WeightedGraph, leaf: LeafMwssSolver) -> tuple:
-    """Maximum weight stable set via the decomposition.
+def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwssSolver) -> tuple:
+    """Maximum weight stable set over the decomposition tree of wg's graph.
 
-    At an extreme partition (A, B, C), each cutset vertex c is reweighted to
-    its marginal value against A: the best stable set of A u {c} minus the
-    best of A alone. The reduced problem on B u C (with B's weights intact)
-    then carries the full optimum; its answer is completed with the matching
+    At an internal node with cutset C, A is the atom child minus C and the
+    other child holds B u C. Each cutset vertex c is reweighted to its
+    marginal value against A: the best stable set of A u {c} minus the best
+    of A alone. The reduced problem on B u C (with B's weights intact) then
+    carries the full optimum; its answer is completed with the matching
     A-side witness. Cutset vertices whose marginal value is zero are dropped
     from the returned set so they never constrain the A side for nothing.
     """
     g = wg.graph
 
-    def rec(mask: int, weights: list) -> tuple:
-        cut = _extreme_cut_in_mask(g, mask)
-        if cut is None:
-            return _leaf_weighted(g, weights, mask, leaf)
-        a, b, c = cut
-        alpha_a, wit_a = _leaf_weighted(g, weights, a, leaf)
+    def rec(node: TreeNode, weights: list) -> tuple:
+        if node.kind == "leaf":
+            return _leaf_weighted(g, weights, node.vertices, leaf)
+        atom, rest = (tree.node(i) for i in node.children)
+        c = mask_of(node.cutset)
+        a = mask_of(atom.vertices) & ~c
+        alpha_a, wit_a = _leaf_weighted(g, weights, bits_list(a), leaf)
         new_weights = list(weights)
         gain: dict[int, tuple] = {}
-        for cv in iter_bits(c):
-            with_cv, wit_cv = _leaf_weighted(g, weights, a & ~g.adj[cv], leaf)
+        for cv in node.cutset:
+            with_cv, wit_cv = _leaf_weighted(g, weights, bits_list(a & ~g.adj[cv]), leaf)
             with_cv += weights[cv]
             marginal = with_cv - alpha_a
             gain[cv] = (marginal, wit_cv)
             new_weights[cv] = marginal
-        value_b, chosen_b = rec(b | c, new_weights)
+        value_b, chosen_b = rec(rest, new_weights)
         chosen_b = frozenset(v for v in chosen_b if not (c >> v & 1) or gain[v][0] > 0)
         tail = [v for v in chosen_b if c >> v & 1]
         if tail:
@@ -336,5 +329,55 @@ def solve_mwss(wg: WeightedGraph, leaf: LeafMwssSolver) -> tuple:
             side = wit_a
         return alpha_a + value_b, chosen_b | side
 
-    value, chosen = rec(g.full_mask(), list(wg.weights))
-    return value, chosen
+    return rec(tree.node(tree.root), list(wg.weights))
+
+
+@dataclass(frozen=True)
+class JoinPiece:
+    """One piece of a leaf that is the join of its pieces: its vertices in
+    the leaf's labels, and solvers for the subgraph the piece induces."""
+
+    vertices: tuple[int, ...]
+    mwc: LeafMwcSolver
+    mwss: LeafMwssSolver
+    color: LeafColorer
+
+
+@dataclass(frozen=True)
+class Join:
+    """Leaf solvers for leaves whose pieces, in the order `pieces` lists
+    them, are pairwise complete to each other. A clique takes the best
+    clique of every piece, a stable set lives inside one piece (the first
+    best wins), and no two pieces can share a color, so their palettes are
+    stacked in piece order."""
+
+    pieces: Callable[[Graph], list[JoinPiece]]
+
+    def mwc(self, wg: WeightedGraph) -> tuple:
+        total = 0
+        chosen: frozenset[int] = frozenset()
+        for piece in self.pieces(wg.graph):
+            value, part = _leaf_weighted(wg.graph, wg.weights, piece.vertices, piece.mwc)
+            total += value
+            chosen |= part
+        return total, chosen
+
+    def mwss(self, wg: WeightedGraph) -> tuple:
+        best = 0
+        best_set: frozenset[int] = frozenset()
+        for piece in self.pieces(wg.graph):
+            value, part = _leaf_weighted(wg.graph, wg.weights, piece.vertices, piece.mwss)
+            if value > best:
+                best, best_set = value, part
+        return best, best_set
+
+    def color(self, g: Graph) -> Coloring:
+        colors = [0] * g.n
+        offset = 0
+        for piece in self.pieces(g):
+            h, verts = induced_subgraph(g, piece.vertices)
+            col = piece.color(h)
+            for v, c in zip(verts, col.colors):
+                colors[v] = offset + c
+            offset += col.count
+        return Coloring(tuple(colors), offset)

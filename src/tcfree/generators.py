@@ -9,7 +9,6 @@ cheap certificates (good partition, elimination order) on the way out.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chordal import simplicial_order
@@ -17,26 +16,6 @@ from .decomposition import glue
 from .detectors import C6BAR, find_cap, find_long_hole, find_small_obstruction
 from .graphs import Graph, alpha_at_most_2, iter_bits
 from .rings import GoodPartition, verify_good_partition
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters for one generation request.
-
-    kind is one of ring, hyperhole, hyperantihole, chordal, bu_h, bt, bch,
-    glued. Ring-shaped kinds read k and sizes, chordal reads n and density,
-    glued reads cls, pieces, and max_n.
-    """
-
-    seed: int
-    kind: str
-    k: Optional[int] = None
-    sizes: Optional[tuple[int, ...]] = None
-    n: Optional[int] = None
-    density: float = 0.5
-    cls: Optional[str] = None
-    pieces: int = 2
-    max_n: int = 14
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +365,3 @@ def gen_class_member(seed: int, cls: str, pieces: int = 2, max_n: int = 14) -> G
             g = glued
             break
     return g
-
-
-def generate_from_spec(spec: GenSpec) -> Graph:
-    """Dispatch a GenSpec to the matching generator."""
-    if spec.kind == "ring":
-        g, _ = gen_ring(spec.seed, spec.k, spec.sizes)
-        return g
-    if spec.kind == "hyperhole":
-        return gen_hyperhole(spec.seed, spec.k, spec.sizes)
-    if spec.kind == "hyperantihole":
-        return gen_hyperantihole(spec.seed, spec.k, spec.sizes)
-    if spec.kind == "chordal":
-        return gen_chordal(spec.seed, spec.n, spec.density)
-    if spec.kind in ("bu_h", "bt", "bch"):
-        sampler = {"bu_h": _sample_bu, "bt": _sample_bt, "bch": _sample_bch}[spec.kind]
-        return sampler(random.Random(spec.seed), spec.max_n)
-    if spec.kind == "glued":
-        return gen_class_member(spec.seed, spec.cls, spec.pieces, spec.max_n)
-    raise ValueError(f"unknown generation kind {spec.kind!r}")

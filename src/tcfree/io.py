@@ -4,13 +4,28 @@ A graph file holds a header line ``p <n> <m>``, then exactly m edge lines
 ``e <u> <v>`` with 1-based endpoints, optionally interleaved with weight
 lines ``w <v> <weight>`` (default weight 1). Blank lines and lines starting
 with ``#`` are ignored.
+
+Weights are integers or decimals such as ``-2.75`` or ``1.5e3``, read
+exactly: a decimal becomes a ``Fraction``, so sums of weights carry no
+rounding. ``nan``, ``inf``, ``p/q`` text and decimal exponents beyond
+MAX_WEIGHT_EXPONENT in size are rejected. A header may announce at most
+MAX_VERTICES vertices and at most n(n-1)/2 edges; larger headers are
+rejected before anything is allocated for them.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .graphs import Graph, WeightedGraph
+
+# Graphs hold one adjacency bitmask per vertex and the algorithms are
+# polynomial of degree three and up, so far larger inputs could not be
+# solved anyway.
+MAX_VERTICES = 10_000
+# A weight like 1e1000000000 would turn into an integer of a billion digits.
+MAX_WEIGHT_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -23,9 +38,14 @@ def _parse_weight(tok: str, lineno: int):
     except ValueError:
         pass
     try:
-        return float(tok)
-    except ValueError:
+        value = Decimal(tok)
+    except InvalidOperation:
         raise ParseError(f"line {lineno}: cannot parse weight {tok!r}") from None
+    if not value.is_finite():
+        raise ParseError(f"line {lineno}: weight {tok!r} is not a finite number")
+    if abs(value.as_tuple().exponent) > MAX_WEIGHT_EXPONENT:
+        raise ParseError(f"line {lineno}: weight {tok!r} has an exponent beyond {MAX_WEIGHT_EXPONENT}")
+    return Fraction(value)
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -52,6 +72,10 @@ def parse_graph(text: str) -> WeightedGraph:
                 raise ParseError(f"line {lineno}: header needs integers") from None
             if n < 1 or m < 0:
                 raise ParseError(f"line {lineno}: need n >= 1 and m >= 0")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: header announced {n} vertices, more than the limit of {MAX_VERTICES}")
+            if m > n * (n - 1) // 2:
+                raise ParseError(f"line {lineno}: header announced {m} edges, more than {n} vertices can hold")
             weights = [1] * n
         elif tag == "e":
             if n is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Optional, Sequence
 
-from .chordal import chordal_mwc, chordal_mwss, is_chordal
+from .chordal import is_chordal
 from .detectors import canonical_cycle
 from .graphs import (
     Coloring,
@@ -358,35 +358,3 @@ def hyperhole_mwss(wg: WeightedGraph, parts: Optional[list[tuple[int, ...]]] = N
     reps = [max(p, key=lambda v: (w[v], -v)) for p in parts]
     value, idxs = _cycle_mwss([w[r] for r in reps])
     return value, frozenset(reps[i] for i in idxs)
-
-
-def hyperhole_mwc_mwss(wg: WeightedGraph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """Maximum weight clique and maximum weight stable set of a hyperhole,
-    or None when the graph is not one.
-
-    Nonpositive-weight vertices are discarded up front; no optimal clique or
-    stable set ever needs them. If that empties a part, what is left is a
-    disjoint union of clique expansions of paths, so the chordal solvers
-    take over; otherwise the positive vertices still form a hyperhole and
-    the quotient-cycle routines apply.
-    """
-    g, w = wg.graph, wg.weights
-    parts = recognize_hyperhole(g)
-    if parts is None:
-        return None
-    pruned = [tuple(v for v in p if w[v] > 0) for p in parts]
-    if all(pruned):
-        _, clique = hyperhole_mwc(wg, pruned)
-        _, stable = hyperhole_mwss(wg, pruned)
-        return clique, stable
-    keep = [v for p in pruned for v in p]
-    if not keep:
-        return frozenset(), frozenset()
-    sub, verts = induced_subgraph(g, keep)
-    sub_w = WeightedGraph(sub, tuple(w[v] for v in verts))
-    _, clique_sub = chordal_mwc(sub_w)
-    _, stable_sub = chordal_mwss(sub_w)
-    return (
-        frozenset(verts[v] for v in clique_sub),
-        frozenset(verts[v] for v in stable_sub),
-    )

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rand_graph
+from tcfree import decomposition
 from tcfree.classes import (
     BUH_EVEN_HOLE,
     BUH_K1,
@@ -319,3 +320,27 @@ def test_double_star_cutset_validates_input():
     assert cap is not None
     with pytest.raises(ValueError, match="cap certificate"):
         double_star_cutset_from_cap(g, Certificate(HOLE, canonical_cycle(cap.vertices)))
+
+
+@pytest.mark.parametrize(
+    "cls,solve",
+    [
+        ("gu", lambda g: mwc_mwss_gu(WeightedGraph(g, (1,) * g.n))),
+        ("gu", color_gu),
+        ("gutcap", lambda g: mwc_mwss_gutcap(WeightedGraph(g, (1,) * g.n))),
+        ("gutcap", color_gutcap),
+        ("gt", lambda g: mwss_gt(WeightedGraph(g, (1,) * g.n))),
+    ],
+)
+def test_solvers_decompose_once(monkeypatch, cls, solve):
+    calls = []
+    original = decomposition._mcsm
+    monkeypatch.setattr(decomposition, "_mcsm", lambda g, mask: calls.append(mask) or original(g, mask))
+    for seed in range(6):
+        g = gen_class_member(seed, cls, pieces=4, max_n=16)
+        calls.clear()
+        decomposition.build_tree(g)
+        passes = len(calls)
+        calls.clear()
+        solve(g)
+        assert len(calls) == passes, (seed, g.n)

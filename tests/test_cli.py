@@ -4,9 +4,11 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
+from tcfree import classes
 from tcfree.cli import main
 from tcfree.generators import (
     complete_graph,
@@ -234,3 +236,54 @@ def test_verify_chi_deterministic(capsys):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("cls", ["gu", "gt", "gutcap"])
+@pytest.mark.parametrize("problem", ["mwc", "mwss"])
+def test_solve_decimal_weights_exactly(tmp_path, capsys, cls, problem):
+    rng = random.Random(f"decimal:{cls}:{problem}")
+    for attempt in range(8):
+        g = gen_class_member(rng.randrange(2**30), cls, pieces=4, max_n=14)
+        texts = [f"{rng.uniform(-1, 3):.1f}" for _ in range(g.n)]
+        lines = [format_graph(g).rstrip("\n")] + [f"w {v + 1} {t}" for v, t in enumerate(texts)]
+        path = tmp_path / f"{cls}-{problem}-{attempt}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["solve", "--class", cls, "--problem", problem, str(path)])
+        assert code == 0, err
+        data = json.loads(out, parse_float=Fraction)
+        weights = tuple(Fraction(t) for t in texts)
+        chosen = [v - 1 for v in data["solution"]["vertices"]]
+        assert data["value"] == sum((weights[v] for v in chosen), Fraction(0))
+        wg = WeightedGraph(g, weights)
+        assert data["value"] == (brute_omega_w(wg) if problem == "mwc" else brute_alpha_w(wg))
+
+
+def test_solve_exact_value_is_a_plain_decimal(tmp_path, capsys):
+    path = tmp_path / "edge.txt"
+    path.write_text("p 2 1\ne 1 2\nw 1 0.1\nw 2 0.2\n")
+    code, out, err = run(capsys, ["solve", "--class", "gu", "--problem", "mwc", str(path)])
+    assert code == 0, err
+    assert '"value": 0.3\n' in out
+
+
+@pytest.mark.parametrize("cls", ["gu", "gutcap"])
+def test_solve_mwc_leaves_the_stable_set_alone(tmp_path, capsys, monkeypatch, cls):
+    calls = []
+    original = classes.solve_mwss
+    monkeypatch.setattr(classes, "solve_mwss", lambda *args: calls.append(args) or original(*args))
+    g = gen_class_member(3, cls, pieces=3, max_n=12)
+    path = write_graph(tmp_path, g)
+    code, out, err = run(capsys, ["solve", "--class", cls, "--problem", "mwc", path])
+    assert code == 0, err
+    assert calls == []
+    code, out, err = run(capsys, ["solve", "--class", cls, "--problem", "mwss", path])
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_oversized_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("p 1000000000000 0\n")
+    code, out, err = run(capsys, ["solve", "--class", "gu", "--problem", "mwc", str(path)])
+    assert code == 2 and out == ""
+    assert "1000000000000 vertices" in err and "limit" in err

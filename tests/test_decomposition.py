@@ -137,7 +137,7 @@ def test_glue_then_decompose_roundtrip():
 
 @given(weighted_graphs(max_n=8))
 def test_solve_mwc_with_exact_leaves(wg):
-    value, chosen = solve_mwc(wg, lambda sub: brute_mwc_set(sub))
+    value, chosen = solve_mwc(wg, build_tree(wg.graph), lambda sub: brute_mwc_set(sub))
     assert is_clique(wg.graph, chosen)
     assert sum(wg.weights[v] for v in chosen) == value
     assert value == brute_omega_w(wg)
@@ -145,7 +145,7 @@ def test_solve_mwc_with_exact_leaves(wg):
 
 @given(weighted_graphs(max_n=8))
 def test_solve_mwss_with_exact_leaves(wg):
-    value, chosen = solve_mwss(wg, lambda sub: brute_mwss_set(sub))
+    value, chosen = solve_mwss(wg, build_tree(wg.graph), lambda sub: brute_mwss_set(sub))
     assert is_stable_set(wg.graph, chosen)
     assert sum(wg.weights[v] for v in chosen) == value
     assert value == brute_alpha_w(wg)
@@ -153,7 +153,7 @@ def test_solve_mwss_with_exact_leaves(wg):
 
 @given(graphs(max_n=8))
 def test_solve_coloring_with_exact_leaves(g):
-    col = solve_coloring(g, exact_coloring)
+    col = solve_coloring(g, build_tree(g), exact_coloring)
     assert is_proper_coloring(g, col)
     assert col.count == brute_chi(g)
 
@@ -169,7 +169,7 @@ def test_solve_mwss_reweighting_across_cutsets():
             g = glue(g, piece, [rng.randrange(g.n)], [0])
         ws = tuple(rng.randrange(-3, 9) for _ in range(g.n))
         wg = WeightedGraph(g, ws)
-        value, chosen = solve_mwss(wg, lambda sub: brute_mwss_set(sub))
+        value, chosen = solve_mwss(wg, build_tree(wg.graph), lambda sub: brute_mwss_set(sub))
         assert is_stable_set(g, chosen)
         assert value == brute_alpha_w(wg)
         assert sum(ws[v] for v in chosen) == value

@@ -11,13 +11,11 @@ from tcfree.chordal import simplicial_order
 from tcfree.classes import recognize_gt, recognize_gu, recognize_gut, recognize_gutcap
 from tcfree.detectors import find_cap
 from tcfree.generators import (
-    GenSpec,
     gen_chordal,
     gen_class_member,
     gen_hyperantihole,
     gen_hyperhole,
     gen_ring,
-    generate_from_spec,
 )
 from tcfree.graphs import Graph, complement
 from tcfree.oracles import is_chordal_brute
@@ -125,31 +123,6 @@ def test_gen_class_member_in_class(seed, cls, pieces):
         assert find_cap(g) is None
     again = gen_class_member(seed, cls, pieces=pieces, max_n=12)
     assert list(again.edges()) == list(g.edges())
-
-
-def test_generate_from_spec_dispatch():
-    ring = generate_from_spec(GenSpec(seed=3, kind="ring", k=5, sizes=(2, 1, 2, 1, 1)))
-    assert recognize_ring(ring) is not None
-
-    hh = generate_from_spec(GenSpec(seed=3, kind="hyperhole", k=4, sizes=(2, 2, 1, 1)))
-    assert recognize_hyperhole(hh) is not None
-
-    hah = generate_from_spec(GenSpec(seed=3, kind="hyperantihole", k=7, sizes=(1,) * 7))
-    assert recognize_hyperantihole(hah) is not None
-
-    ch = generate_from_spec(GenSpec(seed=3, kind="chordal", n=8, density=0.4))
-    assert simplicial_order(ch) is not None
-
-    for kind, rec in (("bu_h", recognize_gu), ("bt", recognize_gt), ("bch", recognize_gutcap)):
-        for seed in range(25):
-            g = generate_from_spec(GenSpec(seed=seed, kind=kind, max_n=11))
-            assert rec(g).member, (kind, seed)
-
-    glued = generate_from_spec(GenSpec(seed=3, kind="glued", cls="gu", pieces=2, max_n=12))
-    assert recognize_gu(glued).member
-
-    with pytest.raises(ValueError, match="unknown generation kind"):
-        generate_from_spec(GenSpec(seed=0, kind="mystery"))
 
 
 def test_generator_rejects_bad_parameters():

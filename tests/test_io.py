@@ -1,11 +1,13 @@
 """Text format parsing and serialization."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import weighted_graphs
-from tcfree.io import ParseError, format_graph, parse_graph
+from tcfree.io import MAX_VERTICES, ParseError, format_graph, parse_graph
 
 
 def test_parse_minimal():
@@ -19,6 +21,20 @@ def test_parse_weights_and_comments():
     text = "# comment\np 3 1\n\ne 1 3\nw 2 5\nw 3 2.5\n"
     wg = parse_graph(text)
     assert wg.weights == (1, 5, 2.5)
+
+
+def test_decimal_weights_are_exact():
+    wg = parse_graph("p 3 0\nw 1 0.1\nw 2 -2.75\nw 3 1.5e3\n")
+    assert wg.weights == (Fraction(1, 10), Fraction(-11, 4), 1500)
+    assert all(isinstance(w, Fraction) for w in wg.weights)
+    assert sum(parse_graph("p 3 0\nw 1 0.1\nw 2 0.2\nw 3 0.3\n").weights) == Fraction(3, 5)
+
+
+def test_header_limits():
+    assert parse_graph(f"p {MAX_VERTICES} 0\n").graph.n == MAX_VERTICES
+    assert parse_graph("p 3 3\ne 1 2\ne 2 3\ne 1 3\n").graph.m == 3
+    with pytest.raises(ParseError, match="limit"):
+        parse_graph(f"p {MAX_VERTICES + 1} 0\n")
 
 
 @given(weighted_graphs(low=1, high=9))
@@ -42,7 +58,7 @@ def test_format_skips_unit_weights():
         ("e 1 2\n", "edge before header"),
         ("p 2 1\ne 1 3\n", "out of range"),
         ("p 2 1\ne 1 1\n", "self-loop"),
-        ("p 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
+        ("p 3 2\ne 1 2\ne 2 1\n", "duplicate edge"),
         ("p 2 0\nw 1 2\nw 1 3\n", "duplicate weight"),
         ("p 2 0\nq 1\n", "unknown record"),
         ("p 2 2\ne 1 2\n", "announced 2 edges"),
@@ -51,6 +67,12 @@ def test_format_skips_unit_weights():
         ("w 1 2\n", "weight before header"),
         ("p 2 1\ne 1\n", "edge must be"),
         ("p 2 0\nw 1 abc\n", "cannot parse weight"),
+        ("p 2 0\nw 1 nan\n", "not a finite number"),
+        ("p 2 0\nw 1 -inf\n", "not a finite number"),
+        ("p 2 0\nw 1 1/3\n", "cannot parse weight"),
+        ("p 2 0\nw 1 1e1000000000\n", "exponent beyond"),
+        ("p 1000000000000 0\n", "more than the limit"),
+        ("p 4 7\n", "announced 7 edges, more than 4 vertices can hold"),
         ("", "missing"),
     ],
 )

@@ -30,7 +30,6 @@ from tcfree.oracles import (
 from tcfree.rings import (
     hyperhole_color,
     hyperhole_mwc,
-    hyperhole_mwc_mwss,
     hyperhole_mwss,
     recognize_hyperantihole,
     recognize_hyperhole,
@@ -190,31 +189,3 @@ def test_hyperhole_mwc_mwss_match_brute(seed, k, data):
     value, stable = hyperhole_mwss(wg)
     assert value == brute_alpha_w(wg)
     assert sum(ws[v] for v in stable) == value
-
-
-@given(st.integers(0, 2**30), st.data())
-def test_hyperhole_mwc_mwss_wrapper(seed, data):
-    g = gen_hyperhole(seed, 5, (2, 1, 2, 1, 1))
-    ws = tuple(data.draw(st.integers(-4, 9)) for _ in range(g.n))
-    wg = WeightedGraph(g, ws)
-    out = hyperhole_mwc_mwss(wg)
-    assert out is not None
-    clique, stable = out
-    assert sum(ws[v] for v in clique) == brute_omega_w(wg)
-    assert sum(ws[v] for v in stable) == brute_alpha_w(wg)
-
-
-def test_hyperhole_mwc_mwss_fallback_paths():
-    g = gen_hyperhole(0, 5, (2, 1, 2, 1, 1))
-    # nonpositive weights knock out two parts: the survivor is chordal
-    wg = WeightedGraph(g, (3, 1, 4, -1, 5, -9, 2))
-    out = hyperhole_mwc_mwss(wg)
-    assert out is not None
-    clique, stable = out
-    assert sum(wg.weights[v] for v in clique) == brute_omega_w(wg)
-    assert sum(wg.weights[v] for v in stable) == brute_alpha_w(wg)
-    # everything nonpositive: empty selections
-    dead = WeightedGraph(g, (0,) * 7)
-    assert hyperhole_mwc_mwss(dead) == (frozenset(), frozenset())
-    # not a hyperhole at all
-    assert hyperhole_mwc_mwss(WeightedGraph(path_graph(3), (1, 1, 1))) is None
