@@ -40,12 +40,12 @@ from .classes import (
 )
 from .decomposition import build_tree
 from .generators import (
-    _rand_sizes,
     gen_chordal,
     gen_class_member,
     gen_hyperantihole,
     gen_hyperhole,
     gen_ring,
+    rand_sizes,
 )
 from .graphs import Coloring, WeightedGraph, is_clique, is_proper_coloring, is_stable_set
 from .io import ParseError, format_graph, parse_graph
@@ -283,7 +283,7 @@ def cmd_verify_chi(args: argparse.Namespace) -> int:
         trial_seed = args.seed + index
         if args.cls == "hyperantihole7":
             rng = random.Random(trial_seed)
-            g = gen_hyperantihole(trial_seed, 7, _rand_sizes(rng, 7, max(7, args.max_n)))
+            g = gen_hyperantihole(trial_seed, 7, rand_sizes(rng, 7, max(7, args.max_n)))
         else:
             g = gen_class_member(trial_seed, args.cls, pieces=2, max_n=args.max_n)
         omega = brute_omega_w(WeightedGraph(g, (1,) * g.n))

@@ -4,15 +4,17 @@ Certificates name the witness structure explicitly so they can be re-checked
 against the graph; every detector returns a certificate that passes
 check_certificate. Searches enumerate candidates in a fixed order and
 canonicalize rims, so outputs are deterministic.
+
+No search scans vertex subsets: find_cap floods one mask per triangle, and
+K23, C6BAR and W54 copies grow from anchor vertices by mask intersections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, iter_bits, mask_of, shortest_path
+from .graphs import Graph, complement, iter_bits, mask_of, shortest_path
 
 HOLE = "Hole"
 LONG_HOLE = "LongHole"
@@ -30,21 +32,6 @@ SEVEN_ANTIHOLE = "SevenAntihole"
 
 THREE_PATH_KINDS = (THETA, PYRAMID, PRISM)
 WHEEL_KINDS = (UNIVERSAL_WHEEL, TWIN_WHEEL, PROPER_WHEEL)
-ALL_KINDS = (
-    HOLE,
-    LONG_HOLE,
-    THETA,
-    PYRAMID,
-    PRISM,
-    UNIVERSAL_WHEEL,
-    TWIN_WHEEL,
-    PROPER_WHEEL,
-    CAP,
-    K23,
-    C6BAR,
-    W54,
-    SEVEN_ANTIHOLE,
-)
 
 
 @dataclass(frozen=True)
@@ -258,14 +245,7 @@ def check_certificate(g: Graph, cert: Certificate) -> bool:
                 return False
         return all(g.has_edge(a[i], b[j]) == (i == j) for i in range(3) for j in range(3))
     if kind == SEVEN_ANTIHOLE:
-        if len(verts) != 7 or len(set(verts)) != 7:
-            return False
-        for i in range(7):
-            for j in range(i + 1, 7):
-                consecutive = j - i == 1 or (i == 0 and j == 6)
-                if g.has_edge(verts[i], verts[j]) == consecutive:
-                    return False
-        return True
+        return len(verts) == 7 and _is_hole_order(complement(g), verts, 7)
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
@@ -296,86 +276,133 @@ def find_long_hole(g: Graph) -> Optional[Certificate]:
 def find_cap(g: Graph) -> Optional[Certificate]:
     """First cap in a fixed search order, or None.
 
-    For each triangle {c, x, y} and attachments a in N(x), b in N(y) outside
-    N[c], an a-b path avoiding the rest of N[x] and N[y] closes a hole through
-    the edge xy to which c attaches at exactly {x, y}.
+    For each triangle {c, x, y} let A = N(x) - N[y] - N[c] and
+    B = N(y) - N[x] - N[c]. A hole through the edge xy to which c attaches
+    at exactly {x, y} exists when an edge joins A to B or a component of
+    G - (N[x] | N[y] | N[c]) has neighbours in both, which one mask flood
+    per triangle tests. On the first triangle that passes, the rim closes
+    through the least a in A that has a neighbour in B (the least one) or
+    else a shortest path to some b in B (the first such b).
     """
     full = g.full_mask()
+    closed = [g.closed_mask(v) for v in range(g.n)]
     for c in range(g.n):
         for x in iter_bits(g.adj[c]):
             above_x = ~((1 << (x + 1)) - 1)
             for y in iter_bits(g.adj[c] & g.adj[x] & above_x):
-                keep = full & ~(g.closed_mask(c) & ~(1 << x) & ~(1 << y))
-                for a, b0 in ((x, y), (y, x)):
-                    cand_a = g.adj[a] & keep & ~g.closed_mask(b0)
-                    cand_b = g.adj[b0] & keep & ~g.closed_mask(a)
-                    for av in iter_bits(cand_a):
-                        direct = cand_b & g.adj[av]
-                        if direct:
-                            bv = (direct & -direct).bit_length() - 1
-                            rim = [a, b0, bv, av]
-                            return Certificate(CAP, canonical_cycle(rim), center=c)
-                        blocked = (g.closed_mask(a) | g.closed_mask(b0)) & ~(1 << av)
-                        for bv in iter_bits(cand_b & ~g.adj[av]):
-                            allowed = keep & ~(blocked & ~(1 << bv))
-                            path = shortest_path(g, av, bv, allowed)
-                            if path is None:
-                                continue
-                            rim = [a, b0] + path[::-1]
-                            return Certificate(CAP, canonical_cycle(rim), center=c)
+                cand_a = g.adj[x] & ~closed[y] & ~closed[c]
+                cand_b = g.adj[y] & ~closed[x] & ~closed[c]
+                if not (cand_a and cand_b):
+                    continue
+                outside = full & ~(closed[c] | closed[x] | closed[y])
+                if not _linked(g, cand_a, cand_b, outside):
+                    continue
+                for av in iter_bits(cand_a):
+                    direct = cand_b & g.adj[av]
+                    if direct:
+                        return Certificate(CAP, canonical_cycle([x, y, _low(direct), av]), center=c)
+                    for bv in iter_bits(cand_b & ~g.adj[av]):
+                        path = shortest_path(g, av, bv, outside | (1 << av) | (1 << bv))
+                        if path is not None:
+                            return Certificate(CAP, canonical_cycle([x, y] + path[::-1]), center=c)
     return None
+
+
+def _linked(g: Graph, a_side: int, b_side: int, outside: int) -> bool:
+    """Whether a vertex of a_side is adjacent to b_side or reaches a
+    neighbour of b_side through vertices of outside."""
+    seen = frontier = a_side
+    while frontier:
+        grow = 0
+        for v in iter_bits(frontier):
+            grow |= g.adj[v]
+        if grow & b_side:
+            return True
+        frontier = grow & outside & ~seen
+        seen |= frontier
+    return False
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _stable_triple(g: Graph, mask: int) -> Optional[tuple[int, int, int]]:
-    vs = list(iter_bits(mask))
-    for i, v1 in enumerate(vs):
-        for j in range(i + 1, len(vs)):
-            v2 = vs[j]
-            if g.has_edge(v1, v2):
-                continue
-            for v3 in vs[j + 1 :]:
-                if not g.has_edge(v1, v3) and not g.has_edge(v2, v3):
-                    return v1, v2, v3
+    """Lexicographically least stable triple inside mask."""
+    for v1 in iter_bits(mask):
+        for v2 in iter_bits(mask & ~g.adj[v1] & ~((1 << (v1 + 1)) - 1)):
+            rest = mask & ~g.adj[v1] & ~g.adj[v2] & ~((1 << (v2 + 1)) - 1)
+            if rest:
+                return v1, v2, _low(rest)
     return None
 
 
-def _hole_order_of_mask(g: Graph, mask: int) -> Optional[tuple[int, ...]]:
-    """Cyclic order when the induced subgraph on mask is a single chordless
-    cycle of length >= 4, else None."""
-    k = mask.bit_count()
-    if k < 4:
-        return None
-    start = (mask & -mask).bit_length() - 1
-    order = [start]
-    prev = -1
-    cur = start
-    for _ in range(k - 1):
-        nbrs = g.adj[cur] & mask
-        if nbrs.bit_count() != 2:
-            return None
-        nxt = None
-        for u in iter_bits(nbrs):
-            if u != prev:
-                nxt = u
-                break
-        if nxt is None or nxt == start:
-            return None
-        prev, cur = cur, nxt
-        order.append(cur)
-    if (g.adj[cur] & mask).bit_count() != 2 or not g.has_edge(cur, start):
-        return None
-    if len(set(order)) != k:
-        return None
-    cert = tuple(order)
-    return cert if _is_hole_order(g, cert, 4) else None
+def _find_c6bar(g: Graph) -> Optional[Certificate]:
+    """The prism is vertex-transitive, so the least vertex s of a copy lies
+    on a triangle s < p < q whose vertices have private neighbours t, u, w
+    above s forming the other triangle. The first s with a copy holds the
+    least one, listed as (s, p, q, t, u, w)."""
+    adj = g.adj
+    best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    for s in range(g.n):
+        above = ~((1 << (s + 1)) - 1)
+        for p in iter_bits(adj[s] & above):
+            for q in iter_bits(adj[s] & adj[p] & ~((1 << (p + 1)) - 1)):
+                t_side = adj[s] & ~adj[p] & ~adj[q] & above
+                u_side = adj[p] & ~adj[s] & ~adj[q] & above
+                w_side = adj[q] & ~adj[s] & ~adj[p] & above
+                if not (t_side and u_side and w_side):
+                    continue
+                # every copy on this triangle is elementwise above the floor
+                floor = tuple(sorted((s, p, q, _low(t_side), _low(u_side), _low(w_side))))
+                if best is not None and floor >= best[0]:
+                    continue
+                for t in iter_bits(t_side):
+                    for u in iter_bits(u_side & adj[t]):
+                        for w in iter_bits(w_side & adj[t] & adj[u]):
+                            key = tuple(sorted((s, p, q, t, u, w)))
+                            if best is None or key < best[0]:
+                                best = (key, (s, p, q, t, u, w))
+        if best is not None:
+            return Certificate(C6BAR, best[1])
+    return None
+
+
+def _find_w54(g: Graph) -> Optional[Certificate]:
+    """A hub c, a rim vertex v5 outside N[c], its rim neighbours v1 < v4 in
+    N(c) and the path v1 v2 v3 v4 with v2, v3 in N(c) - N(v5). The hub is
+    the only vertex of degree four, so the least vertex set fixes the
+    certificate."""
+    adj = g.adj
+    best: Optional[tuple[tuple[int, ...], int, tuple[int, ...]]] = None
+    for c in range(g.n):
+        for v5 in iter_bits(g.full_mask() & ~g.closed_mask(c)):
+            ends = adj[c] & adj[v5]
+            mids = adj[c] & ~adj[v5]
+            if ends.bit_count() < 2 or mids.bit_count() < 2:
+                continue
+            # every copy on (c, v5) is elementwise above the floor
+            two_ends = (_low(ends), _low(ends & (ends - 1)))
+            two_mids = (_low(mids), _low(mids & (mids - 1)))
+            floor = tuple(sorted((c, v5) + two_ends + two_mids))
+            if best is not None and floor >= best[0]:
+                continue
+            for v1 in iter_bits(ends):
+                for v4 in iter_bits(ends & ~adj[v1] & ~((1 << (v1 + 1)) - 1)):
+                    for v2 in iter_bits(mids & adj[v1] & ~adj[v4]):
+                        for v3 in iter_bits(mids & adj[v2] & adj[v4] & ~adj[v1]):
+                            key = tuple(sorted((c, v1, v2, v3, v4, v5)))
+                            if best is None or key < best[0]:
+                                best = (key, c, (v1, v2, v3, v4, v5))
+    return None if best is None else Certificate(W54, canonical_cycle(best[2]), center=best[1])
 
 
 def find_small_obstruction(g: Graph, kind: str) -> Optional[Certificate]:
-    """Lexicographically least copy of one fixed obstruction, or None."""
-    n = g.n
+    """Lexicographically least copy of one fixed obstruction, or None: K23
+    by its (u1, u2, v1, v2, v3) layout, C6BAR and W54 by sorted vertex set."""
     if kind == K23:
-        for u1 in range(n):
-            for u2 in range(u1 + 1, n):
+        for u1 in range(g.n):
+            for u2 in range(u1 + 1, g.n):
                 if g.has_edge(u1, u2):
                     continue
                 common = g.adj[u1] & g.adj[u2]
@@ -386,51 +413,9 @@ def find_small_obstruction(g: Graph, kind: str) -> Optional[Certificate]:
                     return Certificate(K23, (u1, u2) + triple)
         return None
     if kind == C6BAR:
-        for subset in combinations(range(n), 6):
-            mask = mask_of(subset)
-            if any((g.adj[v] & mask).bit_count() != 3 for v in subset):
-                continue
-            s0 = subset[0]
-            nbrs = [v for v in subset if g.has_edge(s0, v)]
-            for p, q in combinations(nbrs, 2):
-                if not g.has_edge(p, q):
-                    continue
-                t1 = (s0, p, q)
-                t2 = tuple(v for v in subset if v not in t1)
-                if not all(g.has_edge(t2[i], t2[j]) for i in range(3) for j in range(i + 1, 3)):
-                    continue
-                match = []
-                ok = True
-                for a in t1:
-                    partners = [b for b in t2 if g.has_edge(a, b)]
-                    if len(partners) != 1:
-                        ok = False
-                        break
-                    match.append(partners[0])
-                if ok and len(set(match)) == 3:
-                    return Certificate(C6BAR, t1 + tuple(match))
-        return None
+        return _find_c6bar(g)
     if kind == W54:
-        for subset in combinations(range(n), 6):
-            mask = mask_of(subset)
-            for c in subset:
-                rim_mask = mask & ~(1 << c)
-                if (g.adj[c] & rim_mask).bit_count() != 4:
-                    continue
-                order = _hole_order_of_mask(g, rim_mask)
-                if order is not None and len(order) == 5:
-                    return Certificate(W54, canonical_cycle(list(order)), center=c)
-        return None
-    if kind == SEVEN_ANTIHOLE:
-        from .graphs import complement
-
-        co = complement(g)
-        for subset in combinations(range(n), 7):
-            mask = mask_of(subset)
-            order = _hole_order_of_mask(co, mask)
-            if order is not None and len(order) == 7:
-                return Certificate(SEVEN_ANTIHOLE, canonical_cycle(list(order)))
-        return None
+        return _find_w54(g)
     raise ValueError(f"unknown small obstruction kind {kind!r}")
 
 

@@ -171,7 +171,8 @@ def gen_chordal(seed: int, n: int, density: float = 0.5) -> Graph:
 # basic-family samplers
 
 
-def _rand_sizes(rng: random.Random, k: int, budget: int) -> list[int]:
+def rand_sizes(rng: random.Random, k: int, budget: int) -> list[int]:
+    """k random part sizes, each at least one, summing to at most budget."""
     sizes = [1] * k
     for _ in range(rng.randrange(0, max(1, budget - k + 1))):
         sizes[rng.randrange(k)] += 1
@@ -206,14 +207,14 @@ def _sample_bt(rng: random.Random, max_n: int) -> Graph:
     if roll < 0.25 or max_n < 7:
         if roll < 0.5 and max_n >= 4:
             k = rng.randrange(4, min(7, max_n) + 1)
-            g, _ = gen_ring(_child_seed(rng), k, _rand_sizes(rng, k, max_n))
+            g, _ = gen_ring(_child_seed(rng), k, rand_sizes(rng, k, max_n))
             return g
         return complete_graph(rng.randrange(1, min(6, max_n) + 1))
     if roll < 0.65:
         k = rng.randrange(4, min(7, max_n) + 1)
-        g, _ = gen_ring(_child_seed(rng), k, _rand_sizes(rng, k, max_n))
+        g, _ = gen_ring(_child_seed(rng), k, rand_sizes(rng, k, max_n))
         return g
-    return gen_hyperantihole(_child_seed(rng), 7, _rand_sizes(rng, 7, max_n))
+    return gen_hyperantihole(_child_seed(rng), 7, rand_sizes(rng, 7, max_n))
 
 
 def _sample_alpha2_piece(rng: random.Random, max_n: int) -> Graph:
@@ -242,7 +243,7 @@ def _sample_but(rng: random.Random, max_n: int) -> Graph:
     roll = rng.random()
     if roll < 0.35 and max_n >= 5:
         k = rng.randrange(5, min(8, max_n) + 1)
-        ring, _ = gen_ring(_child_seed(rng), k, _rand_sizes(rng, k, max_n - 1))
+        ring, _ = gen_ring(_child_seed(rng), k, rand_sizes(rng, k, max_n - 1))
         t = rng.randrange(0, max(1, min(3, max_n - ring.n) + 1))
         return join_graphs(ring, complete_graph(t)) if t else ring
     if roll < 0.7:
@@ -253,7 +254,7 @@ def _sample_but(rng: random.Random, max_n: int) -> Graph:
         if room < 1:
             break
         if room >= 5 and rng.random() < 0.5:
-            piece = gen_hyperhole(_child_seed(rng), 5, _rand_sizes(rng, 5, room))
+            piece = gen_hyperhole(_child_seed(rng), 5, rand_sizes(rng, 5, room))
         else:
             piece = _sample_alpha2_piece(rng, room)
         g = piece if g is None else join_graphs(g, piece)
@@ -282,7 +283,7 @@ def _sample_bch(rng: random.Random, max_n: int) -> Graph:
     cobipartite pieces."""
     if max_n >= 6 and rng.random() < 0.45:
         k = rng.randrange(6, min(9, max_n) + 1)
-        hole = gen_hyperhole(_child_seed(rng), k, _rand_sizes(rng, k, max_n - 1))
+        hole = gen_hyperhole(_child_seed(rng), k, rand_sizes(rng, k, max_n - 1))
         t = rng.randrange(0, max(1, min(3, max_n - hole.n) + 1))
         return join_graphs(hole, complete_graph(t)) if t else hole
     g: Optional[Graph] = None
@@ -291,7 +292,7 @@ def _sample_bch(rng: random.Random, max_n: int) -> Graph:
         if room < 1:
             break
         if room >= 5 and rng.random() < 0.5:
-            piece = gen_hyperhole(_child_seed(rng), 5, _rand_sizes(rng, 5, room))
+            piece = gen_hyperhole(_child_seed(rng), 5, rand_sizes(rng, 5, room))
         else:
             piece = _staircase_cobipartite(rng, room)
         g = piece if g is None else join_graphs(g, piece)

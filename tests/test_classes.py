@@ -1,6 +1,7 @@
 """Class recognizers, class solvers, and the double star cutset."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -119,6 +120,14 @@ def test_recognition_reports():
 
     member = recognize_gu(cycle_graph(7))
     assert member.member and member.certificate is None
+
+
+def test_recognize_gut_has_no_subset_scan():
+    # six-vertex subset scans for C6BAR and W54 would take minutes here
+    g = gen_class_member(3, "gut", 15, 60)
+    t0 = time.perf_counter()
+    assert recognize_gut(g).member
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_recognize_bu_h_labels():

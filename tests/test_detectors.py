@@ -30,8 +30,9 @@ from tcfree.detectors import (
     find_small_obstruction,
     hole_expansion,
 )
-from tcfree.generators import complete_graph, cycle_graph, join_graphs
-from tcfree.graphs import Graph, complement
+from tcfree import detectors
+from tcfree.generators import complete_graph, cycle_graph, gen_class_member, join_graphs
+from tcfree.graphs import Graph, complement, iter_bits, mask_of, shortest_path
 from tcfree.oracles import enumerate_holes
 
 
@@ -177,7 +178,6 @@ def _induced_copy_exists(g: Graph, target: Graph) -> bool:
         (K23, Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])),
         (C6BAR, complement(cycle_graph(6))),
         (W54, wheel(5, [0, 1, 2, 3])),
-        (SEVEN_ANTIHOLE, complement(cycle_graph(7))),
     ],
 )
 def test_find_small_obstruction_matches_brute(kind, target):
@@ -193,6 +193,94 @@ def test_find_small_obstruction_matches_brute(kind, target):
     padded = join_graphs(target, complete_graph(1))
     grown = Graph(padded.n + 1, list(padded.edges()))
     assert find_small_obstruction(grown, kind) is not None
+
+
+# Reference scans: the subset and per-attachment searches the anchored
+# detectors replaced. Their certificates pin the lexicographically-least and
+# first-in-order contracts.
+
+
+def _scan_c6bar(g: Graph):
+    for subset in combinations(range(g.n), 6):
+        mask = mask_of(subset)
+        if any((g.adj[v] & mask).bit_count() != 3 for v in subset):
+            continue
+        s0 = subset[0]
+        nbrs = [v for v in subset if g.has_edge(s0, v)]
+        for p, q in combinations(nbrs, 2):
+            if not g.has_edge(p, q):
+                continue
+            t1 = (s0, p, q)
+            t2 = tuple(v for v in subset if v not in t1)
+            if not all(g.has_edge(a, b) for a, b in combinations(t2, 2)):
+                continue
+            match = [[b for b in t2 if g.has_edge(a, b)] for a in t1]
+            if all(len(m) == 1 for m in match) and len({m[0] for m in match}) == 3:
+                return Certificate(C6BAR, t1 + tuple(m[0] for m in match))
+    return None
+
+
+def _scan_w54(g: Graph):
+    for subset in combinations(range(g.n), 6):
+        for c in subset:
+            rim = [v for v in subset if v != c]
+            rim_mask = mask_of(rim)
+            if (g.adj[c] & rim_mask).bit_count() != 4:
+                continue
+            if any((g.adj[v] & rim_mask).bit_count() != 2 for v in rim):
+                continue
+            # a 2-regular graph on five vertices is a five-cycle
+            order = [rim[0]]
+            while len(order) < 5:
+                order.append(next(u for u in iter_bits(g.adj[order[-1]] & rim_mask) if u not in order))
+            return Certificate(W54, canonical_cycle(order), center=c)
+    return None
+
+
+def _scan_cap(g: Graph):
+    full = g.full_mask()
+    for c in range(g.n):
+        for x in iter_bits(g.adj[c]):
+            for y in iter_bits(g.adj[c] & g.adj[x] & ~((1 << (x + 1)) - 1)):
+                keep = full & ~(g.closed_mask(c) & ~(1 << x) & ~(1 << y))
+                for a, b0 in ((x, y), (y, x)):
+                    cand_a = g.adj[a] & keep & ~g.closed_mask(b0)
+                    cand_b = g.adj[b0] & keep & ~g.closed_mask(a)
+                    for av in iter_bits(cand_a):
+                        direct = cand_b & g.adj[av]
+                        if direct:
+                            bv = (direct & -direct).bit_length() - 1
+                            return Certificate(CAP, canonical_cycle([a, b0, bv, av]), center=c)
+                        blocked = (g.closed_mask(a) | g.closed_mask(b0)) & ~(1 << av)
+                        for bv in iter_bits(cand_b & ~g.adj[av]):
+                            path = shortest_path(g, av, bv, keep & ~(blocked & ~(1 << bv)))
+                            if path is not None:
+                                return Certificate(CAP, canonical_cycle([a, b0] + path[::-1]), center=c)
+    return None
+
+
+def test_anchored_searches_match_reference_scans():
+    rng = random.Random(20171)
+    found = {C6BAR: 0, W54: 0, CAP: 0}
+    for trial in range(2000):
+        g = rand_graph(rng, rng.randrange(4, 12), rng.uniform(0.2, 0.9))
+        for kind, got, want in (
+            (C6BAR, find_small_obstruction(g, C6BAR), _scan_c6bar(g)),
+            (W54, find_small_obstruction(g, W54), _scan_w54(g)),
+            (CAP, find_cap(g), _scan_cap(g)),
+        ):
+            assert got == want, (kind, trial, list(g.edges()))
+            found[kind] += got is not None
+    # enough copies turn up to pin the certificates, not only their presence
+    assert all(count >= 100 for count in found.values()), found
+
+
+def test_find_cap_runs_no_path_search_on_a_member(monkeypatch):
+    g = gen_class_member(3, "gutcap", 30, 120)
+    calls = []
+    monkeypatch.setattr(detectors, "shortest_path", lambda *a: calls.append(a))
+    assert find_cap(g) is None
+    assert calls == []
 
 
 def test_hole_expansion_classifies_attachments():
