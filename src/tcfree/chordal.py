@@ -9,42 +9,45 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import Coloring, Graph, WeightedGraph, iter_bits, mask_of
+from .graphs import Coloring, Graph, WeightedGraph, bits_list, iter_bits, mask_of
 
 
 class NotChordalError(ValueError):
     """Raised when a chordal-only routine receives a non-chordal graph."""
 
 
-def simplicial_order(g: Graph) -> Optional[tuple[int, ...]]:
-    """A perfect elimination order (first position eliminated first), or
-    None when g is not chordal."""
-    n = g.n
-    if n == 0:
-        return ()
-    weight = [0] * n
-    numbered = 0
+def simplicial_order(g: Graph, mask: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    """A perfect elimination order (first position eliminated first) of the
+    subgraph induced by mask, all of g when omitted, or None when that
+    subgraph is not chordal."""
+    if mask is None:
+        mask = g.full_mask()
+    remaining = bits_list(mask)
+    weight = dict.fromkeys(remaining, 0)
+    unnumbered = mask
     visit: list[int] = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not numbered >> v & 1 and (best < 0 or weight[v] > weight[best]):
-                best = v
+    while remaining:
+        # the least vertex of largest weight: max keeps the first maximum
+        best = max(remaining, key=weight.__getitem__)
+        remaining.remove(best)
         visit.append(best)
-        numbered |= 1 << best
-        for u in iter_bits(g.adj[best] & ~numbered):
+        unnumbered &= ~(1 << best)
+        for u in iter_bits(g.adj[best] & unnumbered):
             weight[u] += 1
     order = tuple(reversed(visit))
-    return order if is_simplicial_order(g, order) else None
+    return order if is_simplicial_order(g, order, mask) else None
 
 
-def is_simplicial_order(g: Graph, order) -> bool:
-    """Whether each vertex's later neighbors form a clique. Checks only the
+def is_simplicial_order(g: Graph, order, mask: Optional[int] = None) -> bool:
+    """Whether order lists the vertices of mask, all of g when omitted, so
+    that each vertex's later neighbors in mask form a clique. Checks only the
     earliest later neighbor's coverage, which suffices for a full order."""
-    if sorted(order) != list(range(g.n)):
+    if mask is None:
+        mask = g.full_mask()
+    if sorted(order) != bits_list(mask):
         return False
     pos = {v: i for i, v in enumerate(order)}
-    later = g.full_mask()
+    later = mask
     for v in order:
         later &= ~(1 << v)
         nbrs = g.adj[v] & later
@@ -60,14 +63,14 @@ def is_chordal(g: Graph) -> bool:
     return simplicial_order(g) is not None
 
 
-def _require_order(g: Graph, order=None) -> tuple[int, ...]:
+def _require_order(g: Graph, order=None, mask: Optional[int] = None) -> tuple[int, ...]:
     if order is None:
-        order = simplicial_order(g)
+        order = simplicial_order(g, mask)
         if order is None:
             raise NotChordalError("graph is not chordal")
         return order
     order = tuple(order)
-    if not is_simplicial_order(g, order):
+    if not is_simplicial_order(g, order, mask):
         raise NotChordalError("invalid elimination order")
     return order
 
@@ -91,17 +94,20 @@ def chordal_color(g: Graph, order=None) -> Coloring:
     return Coloring(tuple(colors), count)
 
 
-def chordal_mwc(wg: WeightedGraph, order=None) -> tuple:
-    """Maximum weight clique as (weight, vertices). The empty clique counts,
-    so the value is never negative. Nonpositive-weight vertices are dropped;
-    on what remains every candidate is a vertex plus all its later neighbors
-    in an elimination order."""
+def chordal_mwc(wg: WeightedGraph, order=None, mask: Optional[int] = None) -> tuple:
+    """Maximum weight clique as (weight, vertices) in the subgraph induced by
+    mask, all of wg's graph when omitted. The empty clique counts, so the
+    value is never negative. Nonpositive-weight vertices are dropped; on
+    what remains every candidate is a vertex plus all its later neighbors in
+    an elimination order."""
     g, w = wg.graph, wg.weights
-    order = _require_order(g, order)
-    live = mask_of(v for v in range(g.n) if w[v] > 0)
+    if mask is None:
+        mask = g.full_mask()
+    order = _require_order(g, order, mask)
+    live = mask_of(v for v in order if w[v] > 0)
     best = 0
     best_set: frozenset[int] = frozenset()
-    later = g.full_mask()
+    later = mask
     for v in order:
         later &= ~(1 << v)
         if not live >> v & 1:
@@ -114,8 +120,9 @@ def chordal_mwc(wg: WeightedGraph, order=None) -> tuple:
     return best, best_set
 
 
-def chordal_mwss(wg: WeightedGraph, order=None) -> tuple:
-    """Maximum weight stable set as (weight, vertices).
+def chordal_mwss(wg: WeightedGraph, order=None, mask: Optional[int] = None) -> tuple:
+    """Maximum weight stable set as (weight, vertices) in the subgraph
+    induced by mask, all of wg's graph when omitted.
 
     Forward pass over an elimination order charges each vertex's residual
     weight against its later closed neighborhood and marks the vertices that
@@ -124,10 +131,12 @@ def chordal_mwss(wg: WeightedGraph, order=None) -> tuple:
     ignored up front.
     """
     g, w = wg.graph, wg.weights
-    order = _require_order(g, order)
+    if mask is None:
+        mask = g.full_mask()
+    order = _require_order(g, order, mask)
     residual = list(w)
     marked = []
-    later = g.full_mask()
+    later = mask
     for v in order:
         later &= ~(1 << v)
         if residual[v] <= 0:

@@ -29,7 +29,6 @@ from .chordal import (
     chordal_mwc,
     chordal_mwss,
     is_chordal,
-    simplicial_order,
 )
 from .decomposition import Join, JoinPiece, build_tree, solve_coloring, solve_mwc, solve_mwss
 from .detectors import (
@@ -54,7 +53,6 @@ from .graphs import (
     anticomponents,
     complement,
     induced_subgraph,
-    iter_bits,
     mask_of,
     masked_components,
     true_twin_partition,
@@ -334,19 +332,18 @@ def mwc_gt(wg: WeightedGraph) -> tuple:
     excludes universal wheels, which happens exactly when every closed
     neighborhood is chordal, and every clique lives in the closed
     neighborhood of each of its vertices."""
-    g, w = wg.graph, wg.weights
+    g = wg.graph
     best = 0
     best_set: frozenset[int] = frozenset()
     for u in range(g.n):
-        sub, verts = induced_subgraph(g, iter_bits(g.closed_mask(u)))
         try:
-            value, sub_set = chordal_mwc(WeightedGraph(sub, tuple(w[v] for v in verts)))
+            value, chosen = chordal_mwc(wg, mask=g.closed_mask(u))
         except NotChordalError:
             raise NotInClassError(
                 "a closed neighborhood contains a hole: universal wheel present"
             ) from None
         if value > best:
-            best, best_set = value, frozenset(verts[i] for i in sub_set)
+            best, best_set = value, chosen
     return best, best_set
 
 
@@ -356,19 +353,19 @@ def _bt_mwss_leaf(wg: WeightedGraph) -> tuple:
     lose all but a clique or two). Each stable set containing u avoids
     N(u), so the best chordal answer over all u is the optimum. All n
     candidates are scanned; the maximum needs every one."""
-    g, w = wg.graph, wg.weights
+    g = wg.graph
+    full = g.full_mask()
     best = 0
     best_set: frozenset[int] = frozenset()
     for u in range(g.n):
-        sub, verts = induced_subgraph(g, iter_bits(g.full_mask() & ~g.adj[u]))
-        order = simplicial_order(sub)
-        if order is None:
+        try:
+            value, chosen = chordal_mwss(wg, mask=full & ~g.adj[u])
+        except NotChordalError:
             raise NotInClassError(
                 "deleting a vertex neighborhood leaves a hole"
-            )
-        value, sub_set = chordal_mwss(WeightedGraph(sub, tuple(w[v] for v in verts)), order)
+            ) from None
         if value > best:
-            best, best_set = value, frozenset(verts[i] for i in sub_set)
+            best, best_set = value, chosen
     return best, best_set
 
 

@@ -376,10 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: a parser holds reference cycles, so one per request would
+# leave garbage behind every call
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,19 +1,22 @@
 """Clique cutset decomposition and the solver framework built on it.
 
 A clique cutset splits G into (A, B, C): C a clique, no edges between the
-nonempty sides A and B. The partition is extreme when G[A u C] has no clique
-cutset of its own; decomposing by extreme partitions gives a chain-shaped
-tree whose leaves (atoms) are solved directly, and whose answers combine:
-coloring by palette permutation across the cutset, maximum weight clique by
-taking the best leaf, maximum weight stable set by reweighting the cutset
-with its marginal value against the A side. build_tree computes the tree
-once; the three solvers walk it. Leaves that are joins of simpler pieces
-get their leaf solvers from Join.
+nonempty sides A and B. The atoms of G are its maximal vertex sets that
+induce subgraphs without a clique cutset; they are unique (Leimer 1993).
+build_tree splits them off one at a time, which gives a chain-shaped tree
+whose leaves are exactly the atoms and whose answers combine: coloring by
+palette permutation across the cutset, maximum weight clique by taking the
+best leaf, maximum weight stable set by reweighting the cutset with its
+marginal value against the A side. build_tree computes the tree once; the
+three solvers walk it. Leaves that are joins of simpler pieces get their
+leaf solvers from Join.
 
-Cutset candidates come from a minimal triangulation (maximum cardinality
-search with fill edges, reachability tested by minimax weight): every
-clique minimal separator of G survives as some vertex's later neighborhood
-in a perfect elimination order of the triangulation.
+The cutsets come from one minimal triangulation, maximum cardinality search
+with fill edges (MCS-M+, reachability tested by minimax weight): every
+clique minimal separator of G is the later neighborhood of a generator of
+the search, a vertex whose weight did not grow past the previous pick's
+(Tarjan, "Decomposition by clique separators", 1985; Berry, Pogorelcnik and
+Simonet, "An introduction to clique minimal separator decomposition", 2010).
 """
 
 from __future__ import annotations
@@ -40,11 +43,14 @@ LeafMwcSolver = Callable[[WeightedGraph], tuple]
 LeafColorer = Callable[[Graph], Coloring]
 
 
-def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int]]:
-    """Maximum cardinality search with fill-in on the induced subgraph.
-    Returns an elimination order of mask (eliminated first comes first) and
-    per-vertex fill adjacency masks; graph plus fill is chordal and the fill
-    is inclusion-minimal.
+def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
+    """Maximum cardinality search with fill-in on the induced subgraph,
+    MCS-M+ in the terms of Berry, Pogorelcnik and Simonet. Returns an
+    elimination order of mask (eliminated first comes first), per-vertex
+    fill adjacency masks, and the mask of generators: the vertices picked
+    with a weight no greater than that of the previous pick. Graph plus fill
+    is chordal and the fill is inclusion-minimal; the later neighborhood of a
+    generator in graph plus fill is a minimal separator.
 
     A vertex u is reachable from the chosen v when some path through
     not-yet-chosen vertices keeps every interior weight below u's weight;
@@ -56,9 +62,14 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int]]:
     weight = dict.fromkeys(remaining, 0)
     fills = dict.fromkeys(remaining, 0)
     selection: list[int] = []
+    generators = 0
+    previous = -1  # so the first pick is no generator
     while remaining:
         # the least vertex of largest weight: max keeps the first maximum
         v = max(remaining, key=weight.__getitem__)
+        if weight[v] <= previous:
+            generators |= 1 << v
+        previous = weight[v]
         remaining.remove(v)
         selection.append(v)
         unnumbered &= ~(1 << v)
@@ -83,65 +94,7 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int]]:
                 if not g.has_edge(u, v):
                     fills[u] |= 1 << v
                     fills[v] |= 1 << u
-    return list(reversed(selection)), fills
-
-
-def _cut_in_mask(g: Graph, mask: int) -> Optional[tuple[int, int, int]]:
-    """Some clique cutset partition (A, B, C) of the induced subgraph on
-    mask, as masks, or None when it is an atom. Not necessarily extreme."""
-    if mask == 0 or mask & (mask - 1) == 0:
-        return None
-    comps = masked_components(g, mask)
-    if len(comps) > 1:
-        a = comps[0]
-        return a, mask & ~a, 0
-    peo, fills = _mcsm(g, mask)
-    later = mask
-    for v in peo:
-        later &= ~(1 << v)
-        c_mask = (g.adj[v] | fills[v]) & later
-        if not is_clique_mask(g, c_mask):
-            continue
-        rest = mask & ~c_mask
-        comps = masked_components(g, rest)
-        if len(comps) < 2:
-            continue
-        a = next(cm for cm in comps if cm >> v & 1)
-        return a, rest & ~a, c_mask
-    return None
-
-
-def _extreme_cut_in_mask(g: Graph, mask: int) -> Optional[tuple[int, int, int]]:
-    """Clique cutset partition (A, B, C) of the subgraph on mask with
-    G[A u C] an atom, or None.
-
-    Starting from any partition, a cutset inside A u C refines it: the old
-    cutset minus the new one is a clique, hence lies wholly on one side of
-    the new split; orienting that side toward B keeps C' separating A' from
-    everything else, and A u C strictly shrinks, so the loop ends.
-    """
-    cut = _cut_in_mask(g, mask)
-    if cut is None:
-        return None
-    a, b, c = cut
-    while True:
-        inner = _cut_in_mask(g, a | c)
-        if inner is None:
-            return a, b, c
-        a2, b2, c2 = inner
-        if c & ~c2 & a2:
-            a2, b2 = b2, a2
-        a, b, c = a2, b | b2, c2
-
-
-def find_clique_cutset(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
-    """Any clique cutset partition (A, B, C) of g, or None when g has no
-    clique cutset. A disconnected graph yields an empty cutset."""
-    cut = _cut_in_mask(g, g.full_mask())
-    if cut is None:
-        return None
-    a, b, c = cut
-    return frozenset(iter_bits(a)), frozenset(iter_bits(b)), frozenset(iter_bits(c))
+    return list(reversed(selection)), fills, generators
 
 
 @dataclass(frozen=True)
@@ -178,43 +131,52 @@ class DecompositionTree:
 
 
 def build_tree(g: Graph) -> DecompositionTree:
-    """Extreme clique cutset decomposition tree. Internal nodes carry the
-    cutset; their first child is the atom on A u C, the second the rest.
-    At most 2n - 1 nodes for n vertices."""
-    nodes: list[TreeNode] = []
+    """Clique cutset decomposition tree whose leaves are exactly the atoms:
+    the maximal vertex sets that induce subgraphs without a clique cutset.
 
-    def rec(mask: int) -> int:
-        cut = _extreme_cut_in_mask(g, mask)
-        if cut is None:
-            nodes.append(TreeNode(len(nodes), "leaf", tuple(iter_bits(mask)), None, ()))
-            return len(nodes) - 1
-        a, b, c = cut
-        left = rec(a | c)
-        right = rec(b | c)
-        nodes.append(
-            TreeNode(len(nodes), "internal", tuple(iter_bits(mask)), tuple(iter_bits(c)), (left, right))
-        )
-        return len(nodes) - 1
+    One MCS-M+ pass gives an elimination order and its generators. Walking
+    the order, each generator v whose later neighborhood S in the
+    triangulation is a clique of g splits off the atom C u S, where C is the
+    component of what is left minus S that holds v; what is left at the end
+    is the last atom (Tarjan, "Decomposition by clique separators", 1985;
+    Berry, Pogorelcnik and Simonet, "An introduction to clique minimal
+    separator decomposition", 2010).
 
-    root = rec(g.full_mask())
-    return DecompositionTree(tuple(nodes), root)
-
-
-def find_extreme_clique_cut(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
-    """An extreme clique cutset partition (A, B, C): additionally G[A u C]
-    has no clique cutset. None when g is an atom. Read off the root of the
-    decomposition tree."""
-    tree = build_tree(g)
-    root = tree.node(tree.root)
-    if root.kind == "leaf":
-        return None
-    atom, rest = (tree.node(i) for i in root.children)
-    c = frozenset(root.cutset)
-    return frozenset(atom.vertices) - c, frozenset(rest.vertices) - c, c
+    The tree is a chain: each internal node carries the cutset S, its first
+    child is the atom and its second the rest. Leaves come first in the
+    node list, then the internal nodes from the innermost out, so the root
+    is last. At most 2n - 1 nodes for n vertices."""
+    rest = g.full_mask()
+    order, fills, generators = _mcsm(g, rest)
+    leaves: list[int] = []
+    splits: list[tuple[int, int]] = []
+    later = rest
+    for v in order:
+        later &= ~(1 << v)
+        if not generators >> v & 1:
+            continue
+        cutset = (g.adj[v] | fills[v]) & later
+        if not is_clique_mask(g, cutset):
+            continue
+        comp = next(c for c in masked_components(g, rest & ~cutset) if c >> v & 1)
+        leaves.append(comp | cutset)
+        splits.append((rest, cutset))
+        rest &= ~comp
+    leaves.append(rest)
+    # vertex tuples are made from lists: tuple() of a generator reallocates
+    # the tuple as it grows, and over many requests that churn fragments the
+    # heap and raises peak memory
+    nodes = [TreeNode(i, "leaf", tuple(bits_list(m)), None, ()) for i, m in enumerate(leaves)]
+    child = len(leaves) - 1
+    for i in reversed(range(len(splits))):
+        mask, cutset = splits[i]
+        nodes.append(TreeNode(len(nodes), "internal", tuple(bits_list(mask)), tuple(bits_list(cutset)), (i, child)))
+        child = len(nodes) - 1
+    return DecompositionTree(tuple(nodes), child)
 
 
 def atom_masks(g: Graph) -> list[int]:
-    """Vertex masks of the atoms of the extreme decomposition."""
+    """Vertex masks of the atoms, in the order build_tree lists them."""
     return [mask_of(nd.vertices) for nd in build_tree(g).leaves()]
 
 
@@ -244,7 +206,8 @@ def _leaf_weighted(g: Graph, weights: Sequence, vertices: Sequence[int], leaf: C
     if not vertices:
         return 0, frozenset()
     sub, verts = induced_subgraph(g, vertices)
-    value, chosen = leaf(WeightedGraph(sub, tuple(weights[v] for v in verts)))
+    # a list first, as in build_tree
+    value, chosen = leaf(WeightedGraph(sub, tuple([weights[v] for v in verts])))
     return value, frozenset(verts[i] for i in chosen)
 
 
@@ -260,20 +223,33 @@ def solve_mwc(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwcSolver) -
     return best, best_set
 
 
-def solve_coloring(g: Graph, tree: DecompositionTree, leaf_color: LeafColorer) -> Coloring:
-    """Optimal coloring over the decomposition tree of g. Each side is
-    colored recursively; the atom side's palette is permuted to agree with
-    the other side on the cutset clique, so the union stays proper and the
-    color count is the larger of the two."""
+def _chain(tree: DecompositionTree) -> tuple[list[TreeNode], TreeNode]:
+    """The internal nodes of a build_tree chain from the root down, and its
+    last leaf."""
+    internal = []
+    node = tree.node(tree.root)
+    while node.kind != "leaf":
+        internal.append(node)
+        node = tree.node(node.children[1])
+    return internal, node
 
-    def rec(node: TreeNode) -> tuple[dict[int, int], int]:
-        if node.kind == "leaf":
-            sub, verts = induced_subgraph(g, node.vertices)
-            col = leaf_color(sub)
-            return dict(zip(verts, col.colors)), col.count
-        left, n_left = rec(tree.node(node.children[0]))
-        right, n_right = rec(tree.node(node.children[1]))
-        total = max(n_left, n_right)
+
+def solve_coloring(g: Graph, tree: DecompositionTree, leaf_color: LeafColorer) -> Coloring:
+    """Optimal coloring over the decomposition tree of g. Walking the chain
+    from its last leaf up, each atom is colored and its palette permuted to
+    agree with the side below on the cutset clique, so the union stays
+    proper and the color count is the larger of the two."""
+
+    def color_leaf(node: TreeNode) -> tuple[dict[int, int], int]:
+        sub, verts = induced_subgraph(g, node.vertices)
+        col = leaf_color(sub)
+        return dict(zip(verts, col.colors)), col.count
+
+    internal, last = _chain(tree)
+    right, total = color_leaf(last)
+    for node in reversed(internal):
+        left, n_left = color_leaf(tree.node(node.children[0]))
+        total = max(n_left, total)
         perm: dict[int, int] = {}
         taken = set()
         for v in node.cutset:
@@ -283,13 +259,10 @@ def solve_coloring(g: Graph, tree: DecompositionTree, leaf_color: LeafColorer) -
         for x in range(1, n_left + 1):
             if x not in perm:
                 perm[x] = next(free)
-        merged = dict(right)
         for v, col in left.items():
-            merged[v] = perm[col]
-        return merged, total
-
-    assignment, count = rec(tree.node(tree.root))
-    return Coloring(tuple(assignment[v] for v in range(g.n)), count)
+            right[v] = perm[col]
+    # a list first, as in build_tree
+    return Coloring(tuple([right[v] for v in range(g.n)]), total)
 
 
 def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwssSolver) -> tuple:
@@ -302,15 +275,15 @@ def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwssSolver)
     carries the full optimum; its answer is completed with the matching
     A-side witness. Cutset vertices whose marginal value is zero are dropped
     from the returned set so they never constrain the A side for nothing.
+    The chain is walked down to reweight and back up to complete.
     """
     g = wg.graph
-
-    def rec(node: TreeNode, weights: list) -> tuple:
-        if node.kind == "leaf":
-            return _leaf_weighted(g, weights, node.vertices, leaf)
-        atom, rest = (tree.node(i) for i in node.children)
+    weights = list(wg.weights)
+    internal, last = _chain(tree)
+    sides = []
+    for node in internal:
         c = mask_of(node.cutset)
-        a = mask_of(atom.vertices) & ~c
+        a = mask_of(tree.node(node.children[0]).vertices) & ~c
         alpha_a, wit_a = _leaf_weighted(g, weights, bits_list(a), leaf)
         new_weights = list(weights)
         gain: dict[int, tuple] = {}
@@ -320,16 +293,18 @@ def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwssSolver)
             marginal = with_cv - alpha_a
             gain[cv] = (marginal, wit_cv)
             new_weights[cv] = marginal
-        value_b, chosen_b = rec(rest, new_weights)
-        chosen_b = frozenset(v for v in chosen_b if not (c >> v & 1) or gain[v][0] > 0)
-        tail = [v for v in chosen_b if c >> v & 1]
+        sides.append((c, alpha_a, wit_a, gain))
+        weights = new_weights
+    value, chosen = _leaf_weighted(g, weights, last.vertices, leaf)
+    for c, alpha_a, wit_a, gain in reversed(sides):
+        chosen = frozenset(v for v in chosen if not (c >> v & 1) or gain[v][0] > 0)
+        tail = [v for v in chosen if c >> v & 1]
         if tail:
             side = gain[tail[0]][1]
         else:
             side = wit_a
-        return alpha_a + value_b, chosen_b | side
-
-    return rec(tree.node(tree.root), list(wg.weights))
+        value, chosen = alpha_a + value, chosen | side
+    return value, chosen
 
 
 @dataclass(frozen=True)

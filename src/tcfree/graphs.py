@@ -88,7 +88,9 @@ def complement(g: Graph) -> Graph:
     full = g.full_mask()
     out = Graph.__new__(Graph)
     out.n = g.n
-    out.adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
+    # a list first: tuple() of a generator reallocates as it grows, churn
+    # that fragments the heap over many calls
+    out.adj = tuple([(full & ~g.adj[v]) & ~(1 << v) for v in range(g.n)])
     return out
 
 

@@ -26,7 +26,7 @@ from tcfree.classes import (
     recognize_gutcap,
 )
 from tcfree.cli import main
-from tcfree.decomposition import build_tree, find_clique_cutset, glue
+from tcfree.decomposition import build_tree, glue
 from tcfree.detectors import (
     CAP,
     PRISM,
@@ -61,6 +61,7 @@ from tcfree.graphs import (
 from tcfree.oracles import (
     brute_alpha_w,
     brute_chi,
+    brute_clique_cutset_exists,
     brute_cycle_weighted_chromatic,
     brute_is_ring,
     brute_omega_w,
@@ -200,7 +201,7 @@ def test_criterion_06_decomposition_tree_invariants():
         for node in tree.nodes:
             if node.kind == "leaf":
                 atom, back = induced_subgraph(g, node.vertices)
-                assert find_clique_cutset(atom) is None
+                assert brute_clique_cutset_exists(atom) is None
                 seen_edges.update(
                     (min(back[u], back[v]), max(back[u], back[v])) for u, v in atom.edges()
                 )

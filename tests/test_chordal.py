@@ -1,10 +1,12 @@
 """Chordal recognition and the three linear-time solvers."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_mwc_set, brute_mwss_set, graphs
+from conftest import brute_mwc_set, brute_mwss_set, graphs, rand_graph
 from tcfree.chordal import (
     NotChordalError,
     chordal_color,
@@ -15,7 +17,14 @@ from tcfree.chordal import (
     simplicial_order,
 )
 from tcfree.generators import cycle_graph, gen_chordal, path_graph
-from tcfree.graphs import WeightedGraph, is_clique, is_proper_coloring, is_stable_set
+from tcfree.graphs import (
+    WeightedGraph,
+    bits_list,
+    induced_subgraph,
+    is_clique,
+    is_proper_coloring,
+    is_stable_set,
+)
 from tcfree.oracles import brute_alpha_w, brute_chi, brute_omega_w, is_chordal_brute
 
 
@@ -89,3 +98,33 @@ def test_witness_sets_match_brute_witnesses():
     wg = WeightedGraph(g, (4, -2, 3, 0, 5, 1, -1, 2, 3))
     assert chordal_mwc(wg)[0] == brute_mwc_set(wg)[0]
     assert chordal_mwss(wg)[0] == brute_mwss_set(wg)[0]
+
+
+def test_mask_kernels_match_copied_subgraphs():
+    # the kernels on a vertex mask answer exactly what they answer on the
+    # induced subgraph, mapped back: same order, values and sets
+    rng = random.Random(1212)
+    for trial in range(600):
+        n = rng.randrange(1, 15)
+        if trial % 2:
+            g = rand_graph(rng, n, rng.uniform(0.1, 0.9))
+        else:
+            g = gen_chordal(rng.randrange(2**30), n, rng.random())
+        mask = rng.randrange(1, 1 << n)
+        sub, verts = induced_subgraph(g, bits_list(mask))
+        wg = WeightedGraph(g, tuple(rng.randrange(-4, 10) for _ in range(n)))
+        sub_wg = WeightedGraph(sub, tuple(wg.weights[v] for v in verts))
+        sub_order = simplicial_order(sub)
+        if sub_order is None:
+            assert simplicial_order(g, mask) is None
+            for kernel in (chordal_mwc, chordal_mwss):
+                with pytest.raises(NotChordalError):
+                    kernel(wg, mask=mask)
+            continue
+        order = simplicial_order(g, mask)
+        assert order == tuple(verts[i] for i in sub_order)
+        assert is_simplicial_order(g, order, mask)
+        assert not is_simplicial_order(g, order, mask ^ (1 << rng.randrange(n)))
+        for kernel in (chordal_mwc, chordal_mwss):
+            value, chosen = kernel(sub_wg)
+            assert kernel(wg, mask=mask) == (value, frozenset(verts[i] for i in chosen))

@@ -1,5 +1,7 @@
 """End-to-end command line tests driven through cli.main."""
 
+import argparse
+import gc
 import io
 import json
 import random
@@ -9,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from tcfree import classes
+from tcfree.decomposition import DecompositionTree, TreeNode
 from tcfree.cli import main
 from tcfree.generators import (
     complete_graph,
@@ -287,3 +290,27 @@ def test_oversized_header_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, ["solve", "--class", "gu", "--problem", "mwc", str(path)])
     assert code == 2 and out == ""
     assert "1000000000000 vertices" in err and "limit" in err
+
+
+def test_requests_leave_no_reference_cycles(tmp_path, capsys):
+    # garbage in a cycle lives until a full collection, so a request that
+    # leaves its tree or graph in one holds that memory across requests
+    g = gen_class_member(3, "gu", pieces=4, max_n=24)
+    path = write_graph(tmp_path, g, [1 + v % 4 for v in range(g.n)])
+    requests = (
+        ["solve", "--class", "gu", "--problem", "color", path],
+        ["solve", "--class", "gu", "--problem", "mwss", path],
+        ["decompose", path],
+    )
+    kept = (TreeNode, DecompositionTree, Graph, argparse.ArgumentParser)
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in requests:
+            assert run(capsys, argv)[0] == 0
+            gc.collect()
+            assert not [type(obj).__name__ for obj in gc.garbage if isinstance(obj, kept)], argv
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()

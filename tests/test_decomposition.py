@@ -18,48 +18,129 @@ from conftest import (
     weighted_graphs,
 )
 from tcfree.decomposition import (
+    DecompositionTree,
+    TreeNode,
+    _mcsm,
     atom_masks,
     build_tree,
-    find_clique_cutset,
-    find_extreme_clique_cut,
     glue,
     solve_coloring,
     solve_mwc,
     solve_mwss,
 )
-from tcfree.generators import complete_graph, cycle_graph
+from tcfree.generators import complete_graph, cycle_graph, gen_chordal, gen_class_member
 from tcfree.graphs import (
     WeightedGraph,
     bits_list,
     induced_subgraph,
     is_clique,
+    is_clique_mask,
     is_proper_coloring,
     is_stable_set,
+    iter_bits,
+    mask_of,
+    masked_components,
 )
 from tcfree.oracles import brute_alpha_w, brute_chi, brute_clique_cutset_exists, brute_omega_w
 
 
-@given(graphs(max_n=8))
-def test_find_clique_cutset_matches_brute(g):
-    found = find_clique_cutset(g)
-    assert (found is not None) == (brute_clique_cutset_exists(g) is not None)
-    if found is not None:
-        side_a, side_b, cut = found
-        assert is_clique(g, cut)
-        assert side_a and side_b
-        assert not (side_a & side_b)
-        assert side_a | side_b | cut == frozenset(range(g.n))
-        assert all(not g.has_edge(u, v) for u in side_a for v in side_b)
+# The cut search build_tree ran before it took the atoms from one MCS-M
+# pass, kept as the reference the single pass is checked against.
 
 
-@given(graphs(max_n=8))
-def test_extreme_cut_atom_side_is_cutset_free(g):
-    found = find_extreme_clique_cut(g)
-    if found is None:
-        return
-    side_a, side_b, cut = found
-    atom, _ = induced_subgraph(g, sorted(side_a | cut))
-    assert find_clique_cutset(atom) is None
+def _ref_cut_in_mask(g, mask):
+    """Some clique cutset partition (A, B, C) of the induced subgraph on
+    mask, as masks, or None when it is an atom. Not necessarily extreme."""
+    if mask == 0 or mask & (mask - 1) == 0:
+        return None
+    comps = masked_components(g, mask)
+    if len(comps) > 1:
+        a = comps[0]
+        return a, mask & ~a, 0
+    peo, fills, _ = _mcsm(g, mask)
+    later = mask
+    for v in peo:
+        later &= ~(1 << v)
+        c_mask = (g.adj[v] | fills[v]) & later
+        if not is_clique_mask(g, c_mask):
+            continue
+        rest = mask & ~c_mask
+        comps = masked_components(g, rest)
+        if len(comps) < 2:
+            continue
+        a = next(cm for cm in comps if cm >> v & 1)
+        return a, rest & ~a, c_mask
+    return None
+
+
+def _ref_extreme_cut_in_mask(g, mask):
+    """Clique cutset partition (A, B, C) of the subgraph on mask with
+    G[A u C] an atom, or None: a cutset inside A u C refines any partition,
+    with the side holding the old cutset's remainder oriented toward B."""
+    cut = _ref_cut_in_mask(g, mask)
+    if cut is None:
+        return None
+    a, b, c = cut
+    while True:
+        inner = _ref_cut_in_mask(g, a | c)
+        if inner is None:
+            return a, b, c
+        a2, b2, c2 = inner
+        if c & ~c2 & a2:
+            a2, b2 = b2, a2
+        a, b, c = a2, b | b2, c2
+
+
+def _ref_build_tree(g):
+    nodes = []
+
+    def rec(mask):
+        cut = _ref_extreme_cut_in_mask(g, mask)
+        if cut is None:
+            nodes.append(TreeNode(len(nodes), "leaf", tuple(iter_bits(mask)), None, ()))
+            return len(nodes) - 1
+        a, b, c = cut
+        left = rec(a | c)
+        right = rec(b | c)
+        nodes.append(TreeNode(len(nodes), "internal", tuple(iter_bits(mask)), tuple(iter_bits(c)), (left, right)))
+        return len(nodes) - 1
+
+    root = rec(g.full_mask())
+    return DecompositionTree(tuple(nodes), root)
+
+
+def _differential_graphs():
+    rng = random.Random(2010)
+    for _ in range(2000):
+        yield rand_graph(rng, rng.randrange(1, 17), rng.uniform(0.05, 0.9)), False
+    for seed in range(25):
+        for cls in ("gut", "gu", "gt", "gutcap"):
+            yield gen_class_member(seed, cls, pieces=rng.randrange(1, 5), max_n=rng.randrange(8, 31)), False
+    for seed in range(80):
+        yield gen_chordal(seed, rng.randrange(1, 41), rng.random()), True
+
+
+def test_build_tree_leaves_are_the_reference_maximal_leaves():
+    for g, chordal in _differential_graphs():
+        tree = build_tree(g)
+        ref = _ref_build_tree(g)
+        leaves = [mask_of(nd.vertices) for nd in tree.leaves()]
+        ref_leaves = {mask_of(nd.vertices) for nd in ref.leaves()}
+        maximal = {m for m in ref_leaves if not any(m != o and m & ~o == 0 for o in ref_leaves)}
+        assert len(set(leaves)) == len(leaves), g.adj
+        assert set(leaves) == maximal, g.adj
+        for node in tree.nodes:
+            if node.kind == "leaf":
+                continue
+            atom, rest = (mask_of(tree.node(i).vertices) for i in node.children)
+            c = mask_of(node.cutset)
+            assert atom | rest == mask_of(node.vertices)
+            assert atom & rest == c
+            a, b = atom & ~c, rest & ~c
+            assert a and b and is_clique_mask(g, c)
+            assert all(g.adj[v] & b == 0 for v in iter_bits(a))
+        if chordal:
+            assert tree.to_json_dict() == ref.to_json_dict(), g.adj
 
 
 @given(graphs(max_n=9))
@@ -68,10 +149,11 @@ def test_build_tree_invariants(g):
     assert len(tree.nodes) <= 2 * g.n - 1
     root = tree.node(tree.root)
     assert sorted(root.vertices) == list(range(g.n))
+    assert (root.kind == "internal") == (brute_clique_cutset_exists(g) is not None)
     for node in tree.nodes:
         if node.kind == "leaf":
             sub, _ = induced_subgraph(g, node.vertices)
-            assert find_clique_cutset(sub) is None
+            assert brute_clique_cutset_exists(sub) is None
             assert node.children == ()
         else:
             assert node.cutset is not None
@@ -103,7 +185,7 @@ def test_atom_masks_cover_graph(g):
     acc = 0
     for mask in masks:
         sub, _ = induced_subgraph(g, bits_list(mask))
-        assert find_clique_cutset(sub) is None
+        assert brute_clique_cutset_exists(sub) is None
         acc |= mask
     assert acc == g.full_mask()
 
@@ -116,7 +198,7 @@ def test_glue_relabels_second_graph():
     assert glued.has_edge(0, 1)
     assert glued.has_edge(0, 4) and glued.has_edge(1, 4)
     # the clique overlap separates the two sides
-    assert find_clique_cutset(glued) is not None
+    assert brute_clique_cutset_exists(glued) is not None
 
 
 def test_glue_then_decompose_roundtrip():
@@ -132,7 +214,7 @@ def test_glue_then_decompose_roundtrip():
         tree = build_tree(glued)
         for leaf in tree.leaves():
             sub, _ = induced_subgraph(glued, leaf.vertices)
-            assert find_clique_cutset(sub) is None
+            assert brute_clique_cutset_exists(sub) is None
 
 
 @given(weighted_graphs(max_n=8))
