@@ -75,15 +75,18 @@ def _require_order(g: Graph, order=None, mask: Optional[int] = None) -> tuple[in
     return order
 
 
-def chordal_color(g: Graph, order=None) -> Coloring:
-    """Optimal coloring: greedy in reverse elimination order uses exactly as
-    many colors as the largest clique. The order is computed when omitted
-    and verified when supplied."""
-    order = _require_order(g, order)
+def chordal_color(g: Graph, order=None, mask: Optional[int] = None) -> Coloring:
+    """Optimal coloring of the subgraph induced by mask, all of g when
+    omitted; vertices outside mask get color 0. Greedy in reverse
+    elimination order uses exactly as many colors as the largest clique.
+    The order is computed when omitted and verified when supplied."""
+    if mask is None:
+        mask = g.full_mask()
+    order = _require_order(g, order, mask)
     colors = [0] * g.n
     for v in reversed(order):
         used = 0
-        for u in iter_bits(g.adj[v]):
+        for u in iter_bits(g.adj[v] & mask):
             if colors[u]:
                 used |= 1 << (colors[u] - 1)
         c = 1

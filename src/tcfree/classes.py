@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .chordal import (
     NotChordalError,
@@ -30,7 +30,15 @@ from .chordal import (
     chordal_mwss,
     is_chordal,
 )
-from .decomposition import Join, JoinPiece, build_tree, solve_coloring, solve_mwc, solve_mwss
+from .decomposition import (
+    DecompositionTree,
+    Join,
+    JoinPiece,
+    build_tree,
+    solve_coloring,
+    solve_mwc,
+    solve_mwss,
+)
 from .detectors import (
     C6BAR,
     CAP,
@@ -53,6 +61,7 @@ from .graphs import (
     anticomponents,
     complement,
     induced_subgraph,
+    iter_bits,
     mask_of,
     masked_components,
     true_twin_partition,
@@ -87,11 +96,21 @@ BUH_PATHS = "path-union"
 
 
 class NotInClassError(ValueError):
-    """A class solver discovered that its input lies outside the class."""
+    """The input lies outside the class: a concrete obstruction, or the
+    decomposition leaf (and when applicable its anticomponent) that failed
+    the class's basic-family test."""
 
-    def __init__(self, message: str, certificate: Optional[Certificate] = None):
+    def __init__(
+        self,
+        message: str,
+        certificate: Optional[Certificate] = None,
+        leaf: Optional[frozenset[int]] = None,
+        anticomponent: Optional[frozenset[int]] = None,
+    ):
         super().__init__(message)
         self.certificate = certificate
+        self.leaf = leaf
+        self.anticomponent = anticomponent
 
 
 @dataclass(frozen=True)
@@ -122,44 +141,75 @@ class Recognition:
         return out
 
 
-def _leaf_subgraphs(g: Graph):
+# Each class has one leaf function, leaf(g, atom): it induces the atom once,
+# runs the class's basic-family test, raises NotInClassError naming the
+# failing leaf on failure, and otherwise returns the atom's leaf solvers in
+# g's labels. The recognizer and every solver of the class call it once per
+# atom.
+
+
+def _recognize_leaves(g: Graph, leaf: Callable) -> Recognition:
+    try:
+        for node in build_tree(g).leaves():
+            leaf(g, node.vertices)
+    except NotInClassError as exc:
+        return Recognition(False, reason=str(exc), leaf=exc.leaf, anticomponent=exc.anticomponent)
+    return Recognition(True)
+
+
+def _leaf_solvers(g: Graph, leaf: Callable) -> tuple[DecompositionTree, list]:
+    """The decomposition tree of g and the leaf solvers of its leaves, in
+    the order the tree lists them."""
     tree = build_tree(g)
-    for node in tree.leaves():
-        sub, verts = induced_subgraph(g, node.vertices)
-        yield sub, verts
+    return tree, [leaf(g, node.vertices) for node in tree.leaves()]
+
+
+def _chordal_piece(mask: int) -> JoinPiece:
+    return JoinPiece(mask, partial(chordal_mwc, mask=mask), chordal_mwss, partial(chordal_color, mask=mask))
+
+
+def _hyperhole_piece(mask: int, parts: list[tuple[int, ...]]) -> JoinPiece:
+    return JoinPiece(
+        mask,
+        partial(hyperhole_mwc, parts=parts),
+        partial(hyperhole_mwss, parts=parts),
+        partial(hyperhole_color, parts=parts),
+    )
 
 
 # ---------------------------------------------------------------------------
 # gut
 
 
+def _gut_leaf(g: Graph, atom: Sequence[int]) -> None:
+    """Each anticomponent of the leaf must be a long ring, or
+    long-hole-free, or have no three pairwise nonadjacent vertices."""
+    sub, verts = induced_subgraph(g, atom)
+    for ac in anticomponents(sub):
+        h, _ = induced_subgraph(sub, ac)
+        ring = recognize_ring(h)
+        if ring is not None and ring.k >= 5:
+            continue
+        if find_long_hole(h) is None:
+            continue
+        if alpha_at_most_2(h):
+            continue
+        raise NotInClassError(
+            "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
+            leaf=frozenset(verts),
+            anticomponent=frozenset(verts[i] for i in ac),
+        )
+
+
 def recognize_gut(g: Graph) -> Recognition:
     """The class forbids exactly the Truemper configurations that are
     anticonnected and contain a long hole, plus three small graphs. So:
-    reject on a small obstruction, then demand that each anticomponent of
-    each decomposition leaf is a long ring, or long-hole-free, or has no
-    three pairwise nonadjacent vertices."""
+    reject on a small obstruction, then test each decomposition leaf."""
     for kind in (K23, C6BAR, W54):
         cert = find_small_obstruction(g, kind)
         if cert is not None:
             return Recognition(False, certificate=cert, reason=f"contains {kind}")
-    for sub, verts in _leaf_subgraphs(g):
-        for ac in anticomponents(sub):
-            h, hverts = induced_subgraph(sub, ac)
-            ring = recognize_ring(h)
-            if ring is not None and ring.k >= 5:
-                continue
-            if find_long_hole(h) is None:
-                continue
-            if alpha_at_most_2(h):
-                continue
-            return Recognition(
-                False,
-                reason="leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
-                leaf=frozenset(verts),
-                anticomponent=frozenset(verts[i] for i in ac),
-            )
-    return Recognition(True)
+    return _recognize_leaves(g, _gut_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +222,10 @@ def _path_forest(g: Graph) -> bool:
     return g.m == g.n - len(masked_components(g, g.full_mask()))
 
 
-def _hole_or_paths_label(h: Graph) -> Optional[str]:
-    order = _single_cycle_order(h)
-    if order is not None and len(order) >= 5:
-        return BUH_ODD_HOLE if len(order) % 2 else BUH_EVEN_HOLE
-    if h.n >= 3 and _path_forest(h):
-        return BUH_PATHS
-    return None
-
-
-def recognize_bu_h(g: Graph) -> Optional[list[tuple[frozenset[int], str]]]:
-    """Anticomponent structure of a gu decomposition leaf, or None.
+def recognize_bu_h(g: Graph) -> Optional[list[tuple[tuple[int, ...], str]]]:
+    """Anticomponent structure of a gu decomposition leaf, or None: each
+    anticomponent's vertices with its label, a hole's in cyclic order and
+    the others' sorted.
 
     Members have every nontrivial anticomponent isomorphic to two
     nonadjacent vertices, or a single nontrivial anticomponent that is a
@@ -200,100 +243,68 @@ def recognize_bu_h(g: Graph) -> Optional[list[tuple[frozenset[int], str]]]:
     n = g.n
     if all(g.degree(v) >= n - 2 for v in range(n)):
         return [
-            (ac, BUH_K1 if len(ac) == 1 else BUH_K2BAR)
+            (tuple(sorted(ac)), BUH_K1 if len(ac) == 1 else BUH_K2BAR)
             for ac in anticomponents(g)
         ]
     rest = [v for v in range(n) if g.degree(v) < n - 1]
     sub, _ = induced_subgraph(g, rest)
-    label = _hole_or_paths_label(sub)
-    if label is None:
+    order = _single_cycle_order(sub)
+    if order is not None and len(order) >= 5:
+        piece = (tuple(rest[i] for i in order), BUH_ODD_HOLE if len(order) % 2 else BUH_EVEN_HOLE)
+    elif sub.n >= 3 and _path_forest(sub):
+        piece = (tuple(rest), BUH_PATHS)
+    else:
         return None
-    pieces = [(frozenset([u]), BUH_K1) for u in range(n) if g.degree(u) == n - 1]
-    pieces.append((frozenset(rest), label))
+    pieces = [((u,), BUH_K1) for u in range(n) if g.degree(u) == n - 1]
+    pieces.append(piece)
     pieces.sort(key=lambda piece: min(piece[0]))
     return pieces
 
 
-def recognize_gu(g: Graph) -> Recognition:
-    for sub, verts in _leaf_subgraphs(g):
-        if recognize_bu_h(sub) is None:
-            return Recognition(
-                False,
-                reason="leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices",
-                leaf=frozenset(verts),
-            )
-    return Recognition(True)
-
-
-def _edgeless_mwc(wg: WeightedGraph) -> tuple:
-    """The heaviest vertex, the lower label on ties, if its weight is positive."""
-    w = wg.weights
-    v = max(range(wg.graph.n), key=lambda u: (w[u], -u))
-    return (w[v], frozenset([v])) if w[v] > 0 else (0, frozenset())
-
-
-def _edgeless_mwss(wg: WeightedGraph) -> tuple:
-    chosen = frozenset(v for v in range(wg.graph.n) if wg.weights[v] > 0)
-    return sum(wg.weights[v] for v in chosen), chosen
-
-
-def _edgeless_color(g: Graph) -> Coloring:
-    return Coloring((1,) * g.n, 1)
-
-
-def _hole_color(g: Graph) -> Coloring:
-    """Two colors alternating around the hole, a third for the last vertex
-    of an odd one."""
-    cycle = _single_cycle_order(g)
-    colors = [0] * g.n
-    for i, v in enumerate(cycle):
-        colors[v] = 1 + i % 2
-    if len(cycle) % 2:
-        colors[cycle[-1]] = 3
-    return Coloring(tuple(colors), 3 if len(cycle) % 2 else 2)
-
-
-def _gu_pieces(g: Graph) -> list[JoinPiece]:
-    """The anticomponents of a gu leaf with their solvers. K1 and K2bar
-    pieces are edgeless, holes are hyperholes with single-vertex parts, and
-    path unions are chordal."""
-    pieces = recognize_bu_h(g)
+def _gu_leaf(g: Graph, atom: Sequence[int]) -> Join:
+    """The leaf's anticomponents as a Join: holes are hyperholes with
+    single-vertex parts, and K1, K2bar and path unions are chordal."""
+    sub, verts = induced_subgraph(g, atom)
+    pieces = recognize_bu_h(sub)
     if pieces is None:
-        raise NotInClassError("decomposition leaf fails the gu basic-family test")
+        raise NotInClassError(
+            "leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices",
+            leaf=frozenset(verts),
+        )
     out = []
     for vs, label in pieces:
-        if label in (BUH_K1, BUH_K2BAR):
-            solvers = (_edgeless_mwc, _edgeless_mwss, _edgeless_color)
-        elif label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            h, _ = induced_subgraph(g, vs)
-            parts = [(v,) for v in _single_cycle_order(h)]
-            solvers = (partial(hyperhole_mwc, parts=parts), partial(hyperhole_mwss, parts=parts), _hole_color)
+        mask = mask_of(verts[i] for i in vs)
+        if label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
+            out.append(_hyperhole_piece(mask, [(verts[i],) for i in vs]))
         else:
-            solvers = (chordal_mwc, chordal_mwss, chordal_color)
-        out.append(JoinPiece(tuple(sorted(vs)), *solvers))
-    return out
+            out.append(_chordal_piece(mask))
+    return Join(tuple(out))
 
 
-_GU_LEAF = Join(_gu_pieces)
+def recognize_gu(g: Graph) -> Recognition:
+    return _recognize_leaves(g, _gu_leaf)
 
 
 def mwc_gu(wg: WeightedGraph) -> tuple:
-    return solve_mwc(wg, build_tree(wg.graph), _GU_LEAF.mwc)
+    tree, joins = _leaf_solvers(wg.graph, _gu_leaf)
+    return solve_mwc(wg, tree, [j.mwc for j in joins])
 
 
 def mwss_gu(wg: WeightedGraph) -> tuple:
-    return solve_mwss(wg, build_tree(wg.graph), _GU_LEAF.mwss)
+    tree, joins = _leaf_solvers(wg.graph, _gu_leaf)
+    return solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
 def color_gu(g: Graph) -> Coloring:
-    return solve_coloring(g, build_tree(g), _GU_LEAF.color)
+    tree, joins = _leaf_solvers(g, _gu_leaf)
+    return solve_coloring(g, tree, [j.color for j in joins])
 
 
 def mwc_mwss_gu(wg: WeightedGraph) -> tuple:
     """((clique weight, clique), (stable weight, stable set)), over one
-    decomposition tree."""
-    tree = build_tree(wg.graph)
-    return solve_mwc(wg, tree, _GU_LEAF.mwc), solve_mwss(wg, tree, _GU_LEAF.mwss)
+    decomposition tree and one classification of its leaves."""
+    tree, joins = _leaf_solvers(wg.graph, _gu_leaf)
+    return solve_mwc(wg, tree, [j.mwc for j in joins]), solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +327,35 @@ def _bt_leaf_ok(sub: Graph) -> bool:
     return False
 
 
+def _bt_mwss_leaf(wg: WeightedGraph, mask: int) -> tuple:
+    """Maximum weight stable set of the subgraph that mask induces in a gt
+    leaf. The leaf keeps every vertex non-neighborhood chordal (rings lose
+    a whole part, complete graphs and 7-hyperantiholes all but a clique or
+    two). A nonempty optimum holds a vertex u of positive weight and misses
+    N(u), so the best chordal answer over those u is the optimum."""
+    g, w = wg.graph, wg.weights
+    best = 0
+    best_set: frozenset[int] = frozenset()
+    for u in iter_bits(mask):
+        if w[u] > 0:
+            value, chosen = chordal_mwss(wg, mask=mask & ~g.adj[u])
+            if value > best:
+                best, best_set = value, chosen
+    return best, best_set
+
+
+def _gt_leaf(g: Graph, atom: Sequence[int]) -> Callable:
+    sub, verts = induced_subgraph(g, atom)
+    if not _bt_leaf_ok(sub):
+        raise NotInClassError(
+            "leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole",
+            leaf=frozenset(verts),
+        )
+    return _bt_mwss_leaf
+
+
 def recognize_gt(g: Graph) -> Recognition:
-    for sub, verts in _leaf_subgraphs(g):
-        if not _bt_leaf_ok(sub):
-            return Recognition(
-                False,
-                reason="leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole",
-                leaf=frozenset(verts),
-            )
-    return Recognition(True)
+    return _recognize_leaves(g, _gt_leaf)
 
 
 def mwc_gt(wg: WeightedGraph) -> tuple:
@@ -347,34 +378,36 @@ def mwc_gt(wg: WeightedGraph) -> tuple:
     return best, best_set
 
 
-def _bt_mwss_leaf(wg: WeightedGraph) -> tuple:
-    """Leaves and their induced subgraphs keep every non-neighborhood
-    chordal (rings lose a whole part, complete graphs and 7-hyperantiholes
-    lose all but a clique or two). Each stable set containing u avoids
-    N(u), so the best chordal answer over all u is the optimum. All n
-    candidates are scanned; the maximum needs every one."""
-    g = wg.graph
-    full = g.full_mask()
-    best = 0
-    best_set: frozenset[int] = frozenset()
-    for u in range(g.n):
-        try:
-            value, chosen = chordal_mwss(wg, mask=full & ~g.adj[u])
-        except NotChordalError:
-            raise NotInClassError(
-                "deleting a vertex neighborhood leaves a hole"
-            ) from None
-        if value > best:
-            best, best_set = value, chosen
-    return best, best_set
-
-
 def mwss_gt(wg: WeightedGraph) -> tuple:
-    return solve_mwss(wg, build_tree(wg.graph), _bt_mwss_leaf)
+    tree, leaves = _leaf_solvers(wg.graph, _gt_leaf)
+    return solve_mwss(wg, tree, leaves)
 
 
 # ---------------------------------------------------------------------------
 # gutcap
+
+
+def _gutcap_leaf(g: Graph, atom: Sequence[int]) -> Join:
+    """The leaf's anticomponents as a Join: each must be chordal or a
+    hyperhole with at least 5 parts (an anticomponent is never a
+    4-hyperhole, whose complement is disconnected)."""
+    sub, verts = induced_subgraph(g, atom)
+    out = []
+    for ac in anticomponents(sub):
+        h, hverts = induced_subgraph(sub, ac)
+        mask = mask_of(verts[i] for i in hverts)
+        if is_chordal(h):
+            out.append(_chordal_piece(mask))
+            continue
+        parts = recognize_hyperhole(h)
+        if parts is None or len(parts) < 5:
+            raise NotInClassError(
+                "leaf anticomponent is neither chordal nor a long hyperhole",
+                leaf=frozenset(verts),
+                anticomponent=frozenset(verts[i] for i in ac),
+            )
+        out.append(_hyperhole_piece(mask, [tuple(verts[hverts[i]] for i in p) for p in parts]))
+    return Join(tuple(out))
 
 
 def recognize_gutcap(g: Graph) -> Recognition:
@@ -384,68 +417,29 @@ def recognize_gutcap(g: Graph) -> Recognition:
     cert = find_cap(g)
     if cert is not None:
         return Recognition(False, certificate=cert, reason="contains a cap")
-    for sub, verts in _leaf_subgraphs(g):
-        for ac in anticomponents(sub):
-            h, _ = induced_subgraph(sub, ac)
-            if is_chordal(h):
-                continue
-            parts = recognize_hyperhole(h)
-            if parts is not None and len(parts) >= 5:
-                continue
-            return Recognition(
-                False,
-                reason="leaf anticomponent is neither chordal nor a long hyperhole",
-                leaf=frozenset(verts),
-                anticomponent=frozenset(verts[i] for i in ac),
-            )
-    return Recognition(True)
-
-
-def _gutcap_pieces(g: Graph) -> list[JoinPiece]:
-    """The anticomponents of a gutcap leaf with their solvers: chordal ones
-    and hyperholes. Raises when some anticomponent is neither."""
-    out = []
-    for ac in anticomponents(g):
-        h, hverts = induced_subgraph(g, ac)
-        if is_chordal(h):
-            out.append(JoinPiece(tuple(hverts), chordal_mwc, chordal_mwss, chordal_color))
-            continue
-        parts = recognize_hyperhole(h)
-        if parts is None:
-            raise NotInClassError(
-                "leaf anticomponent is neither chordal nor a hyperhole"
-            )
-        out.append(
-            JoinPiece(
-                tuple(hverts),
-                partial(hyperhole_mwc, parts=parts),
-                partial(hyperhole_mwss, parts=parts),
-                partial(hyperhole_color, parts=parts),
-            )
-        )
-    return out
-
-
-_GUTCAP_LEAF = Join(_gutcap_pieces)
+    return _recognize_leaves(g, _gutcap_leaf)
 
 
 def mwc_gutcap(wg: WeightedGraph) -> tuple:
-    return solve_mwc(wg, build_tree(wg.graph), _GUTCAP_LEAF.mwc)
+    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf)
+    return solve_mwc(wg, tree, [j.mwc for j in joins])
 
 
 def mwss_gutcap(wg: WeightedGraph) -> tuple:
-    return solve_mwss(wg, build_tree(wg.graph), _GUTCAP_LEAF.mwss)
+    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf)
+    return solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
 def color_gutcap(g: Graph) -> Coloring:
-    return solve_coloring(g, build_tree(g), _GUTCAP_LEAF.color)
+    tree, joins = _leaf_solvers(g, _gutcap_leaf)
+    return solve_coloring(g, tree, [j.color for j in joins])
 
 
 def mwc_mwss_gutcap(wg: WeightedGraph) -> tuple:
     """((clique weight, clique), (stable weight, stable set)), over one
-    decomposition tree."""
-    tree = build_tree(wg.graph)
-    return solve_mwc(wg, tree, _GUTCAP_LEAF.mwc), solve_mwss(wg, tree, _GUTCAP_LEAF.mwss)
+    decomposition tree and one classification of its leaves."""
+    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf)
+    return solve_mwc(wg, tree, [j.mwc for j in joins]), solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
 # ---------------------------------------------------------------------------

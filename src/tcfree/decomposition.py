@@ -8,8 +8,14 @@ whose leaves are exactly the atoms and whose answers combine: coloring by
 palette permutation across the cutset, maximum weight clique by taking the
 best leaf, maximum weight stable set by reweighting the cutset with its
 marginal value against the A side. build_tree computes the tree once; the
-three solvers walk it. Leaves that are joins of simpler pieces get their
-leaf solvers from Join.
+three solvers walk it.
+
+The solvers take one prebuilt leaf solver per leaf, leaves[i] for leaf node
+i, and every leaf solver works in the labels of the whole graph: a clique
+solver answers on its whole atom, a colorer colors its atom and gives every
+other vertex color 0, and a stable-set solver answers on the subset of its
+atom named by its mask argument. Leaves that are joins of simpler pieces
+get their leaf solvers from Join.
 
 The cutsets come from one minimal triangulation, maximum cardinality search
 with fill edges (MCS-M+, reachability tested by minimax weight): every
@@ -30,7 +36,6 @@ from .graphs import (
     Graph,
     WeightedGraph,
     bits_list,
-    induced_subgraph,
     is_clique,
     is_clique_mask,
     iter_bits,
@@ -38,9 +43,13 @@ from .graphs import (
     masked_components,
 )
 
-LeafMwssSolver = Callable[[WeightedGraph], tuple]
 LeafMwcSolver = Callable[[WeightedGraph], tuple]
 LeafColorer = Callable[[Graph], Coloring]
+LeafMwssSolver = Callable[..., tuple]
+"""Called as leaf(wg, mask=m) with m a subset of the leaf's atom, possibly
+empty; returns (weight, vertices) of a maximum weight stable set of the
+subgraph that m induces, in wg's labels. solve_mwss asks it for A and for
+A minus N(c), each cutset vertex c, with the weights of that chain node."""
 
 
 def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
@@ -201,23 +210,13 @@ def glue(g1: Graph, g2: Graph, clique1: Sequence[int], clique2: Sequence[int]) -
     return Graph(nxt, edges)
 
 
-def _leaf_weighted(g: Graph, weights: Sequence, vertices: Sequence[int], leaf: Callable) -> tuple:
-    """Run a leaf solver on the induced subgraph and translate back."""
-    if not vertices:
-        return 0, frozenset()
-    sub, verts = induced_subgraph(g, vertices)
-    # a list first, as in build_tree
-    value, chosen = leaf(WeightedGraph(sub, tuple([weights[v] for v in verts])))
-    return value, frozenset(verts[i] for i in chosen)
-
-
-def solve_mwc(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwcSolver) -> tuple:
+def solve_mwc(wg: WeightedGraph, tree: DecompositionTree, leaves: Sequence[LeafMwcSolver]) -> tuple:
     """Maximum weight clique over the decomposition tree of wg's graph:
     every clique lives inside some atom, so the best atom answer wins."""
     best = 0
     best_set: frozenset[int] = frozenset()
-    for node in tree.leaves():
-        value, chosen = _leaf_weighted(wg.graph, wg.weights, node.vertices, leaf)
+    for leaf in leaves:
+        value, chosen = leaf(wg)
         if value > best:
             best, best_set = value, chosen
     return best, best_set
@@ -234,16 +233,15 @@ def _chain(tree: DecompositionTree) -> tuple[list[TreeNode], TreeNode]:
     return internal, node
 
 
-def solve_coloring(g: Graph, tree: DecompositionTree, leaf_color: LeafColorer) -> Coloring:
+def solve_coloring(g: Graph, tree: DecompositionTree, leaves: Sequence[LeafColorer]) -> Coloring:
     """Optimal coloring over the decomposition tree of g. Walking the chain
     from its last leaf up, each atom is colored and its palette permuted to
     agree with the side below on the cutset clique, so the union stays
     proper and the color count is the larger of the two."""
 
     def color_leaf(node: TreeNode) -> tuple[dict[int, int], int]:
-        sub, verts = induced_subgraph(g, node.vertices)
-        col = leaf_color(sub)
-        return dict(zip(verts, col.colors)), col.count
+        col = leaves[node.id](g)
+        return {v: col.colors[v] for v in node.vertices}, col.count
 
     internal, last = _chain(tree)
     right, total = color_leaf(last)
@@ -265,7 +263,7 @@ def solve_coloring(g: Graph, tree: DecompositionTree, leaf_color: LeafColorer) -
     return Coloring(tuple([right[v] for v in range(g.n)]), total)
 
 
-def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwssSolver) -> tuple:
+def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaves: Sequence[LeafMwssSolver]) -> tuple:
     """Maximum weight stable set over the decomposition tree of wg's graph.
 
     At an internal node with cutset C, A is the atom child minus C and the
@@ -275,27 +273,29 @@ def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwssSolver)
     carries the full optimum; its answer is completed with the matching
     A-side witness. Cutset vertices whose marginal value is zero are dropped
     from the returned set so they never constrain the A side for nothing.
-    The chain is walked down to reweight and back up to complete.
+    The chain is walked down to reweight and back up to complete; the atom's
+    leaf solver answers for A and for A minus N(c) by mask, on one weighted
+    graph per internal node.
     """
     g = wg.graph
-    weights = list(wg.weights)
     internal, last = _chain(tree)
     sides = []
     for node in internal:
+        leaf = leaves[node.children[0]]
         c = mask_of(node.cutset)
         a = mask_of(tree.node(node.children[0]).vertices) & ~c
-        alpha_a, wit_a = _leaf_weighted(g, weights, bits_list(a), leaf)
-        new_weights = list(weights)
+        alpha_a, wit_a = leaf(wg, mask=a)
+        new_weights = list(wg.weights)
         gain: dict[int, tuple] = {}
         for cv in node.cutset:
-            with_cv, wit_cv = _leaf_weighted(g, weights, bits_list(a & ~g.adj[cv]), leaf)
-            with_cv += weights[cv]
+            with_cv, wit_cv = leaf(wg, mask=a & ~g.adj[cv])
+            with_cv += wg.weights[cv]
             marginal = with_cv - alpha_a
             gain[cv] = (marginal, wit_cv)
             new_weights[cv] = marginal
         sides.append((c, alpha_a, wit_a, gain))
-        weights = new_weights
-    value, chosen = _leaf_weighted(g, weights, last.vertices, leaf)
+        wg = WeightedGraph(g, tuple(new_weights))
+    value, chosen = leaves[last.id](wg, mask=mask_of(last.vertices))
     for c, alpha_a, wit_a, gain in reversed(sides):
         chosen = frozenset(v for v in chosen if not (c >> v & 1) or gain[v][0] > 0)
         tail = [v for v in chosen if c >> v & 1]
@@ -309,10 +309,10 @@ def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaf: LeafMwssSolver)
 
 @dataclass(frozen=True)
 class JoinPiece:
-    """One piece of a leaf that is the join of its pieces: its vertices in
-    the leaf's labels, and solvers for the subgraph the piece induces."""
+    """One piece of a leaf that is the join of its pieces: its vertex mask
+    and its solvers, which follow the leaf-solver contract on that mask."""
 
-    vertices: tuple[int, ...]
+    mask: int
     mwc: LeafMwcSolver
     mwss: LeafMwssSolver
     color: LeafColorer
@@ -320,39 +320,39 @@ class JoinPiece:
 
 @dataclass(frozen=True)
 class Join:
-    """Leaf solvers for leaves whose pieces, in the order `pieces` lists
-    them, are pairwise complete to each other. A clique takes the best
-    clique of every piece, a stable set lives inside one piece (the first
-    best wins), and no two pieces can share a color, so their palettes are
-    stacked in piece order."""
+    """Leaf solvers for a leaf whose pieces, in the order listed, are
+    pairwise complete to each other. A clique takes the best clique of every
+    piece, a stable set lives inside one piece (the first best wins), and no
+    two pieces can share a color, so their palettes are stacked in piece
+    order."""
 
-    pieces: Callable[[Graph], list[JoinPiece]]
+    pieces: tuple[JoinPiece, ...]
 
     def mwc(self, wg: WeightedGraph) -> tuple:
         total = 0
         chosen: frozenset[int] = frozenset()
-        for piece in self.pieces(wg.graph):
-            value, part = _leaf_weighted(wg.graph, wg.weights, piece.vertices, piece.mwc)
+        for piece in self.pieces:
+            value, part = piece.mwc(wg)
             total += value
             chosen |= part
         return total, chosen
 
-    def mwss(self, wg: WeightedGraph) -> tuple:
+    def mwss(self, wg: WeightedGraph, mask: int) -> tuple:
         best = 0
         best_set: frozenset[int] = frozenset()
-        for piece in self.pieces(wg.graph):
-            value, part = _leaf_weighted(wg.graph, wg.weights, piece.vertices, piece.mwss)
-            if value > best:
-                best, best_set = value, part
+        for piece in self.pieces:
+            if piece.mask & mask:
+                value, part = piece.mwss(wg, mask=piece.mask & mask)
+                if value > best:
+                    best, best_set = value, part
         return best, best_set
 
     def color(self, g: Graph) -> Coloring:
         colors = [0] * g.n
         offset = 0
-        for piece in self.pieces(g):
-            h, verts = induced_subgraph(g, piece.vertices)
-            col = piece.color(h)
-            for v, c in zip(verts, col.colors):
-                colors[v] = offset + c
+        for piece in self.pieces:
+            col = piece.color(g)
+            for v in iter_bits(piece.mask):
+                colors[v] = offset + col.colors[v]
             offset += col.count
         return Coloring(tuple(colors), offset)

@@ -57,15 +57,6 @@ class Certificate:
             out["paths"] = [list(p) for p in self.paths]
         return out
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Certificate":
-        return Certificate(
-            kind=d["kind"],
-            vertices=tuple(d["vertices"]),
-            center=d.get("center"),
-            paths=tuple(tuple(p) for p in d["paths"]) if "paths" in d else None,
-        )
-
 
 def canonical_cycle(order: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Rotate and reflect a cyclic vertex order to start at the minimum

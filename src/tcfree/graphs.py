@@ -63,9 +63,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.adj[v])
-
     def closed_mask(self, v: int) -> int:
         return self.adj[v] | (1 << v)
 
@@ -146,13 +143,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
             if j is not None:
                 adj[i] |= 1 << j
     return _graph_from_masks(len(vs), adj), vs
-
-
-def dominates(g: Graph, u: int, v: int) -> bool:
-    """True when N[v] is contained in N[u]."""
-    if u == v:
-        raise ValueError("domination is defined for distinct vertices")
-    return g.closed_mask(v) & ~g.closed_mask(u) == 0
 
 
 def true_twin_partition(g: Graph) -> tuple[list[frozenset[int]], Graph]:
@@ -246,27 +236,14 @@ class WeightedGraph:
         if len(self.weights) != self.graph.n:
             raise ValueError("need exactly one weight per vertex")
 
-    def weight(self, vertices: Iterable[int]):
-        return sum((self.weights[v] for v in vertices), 0)
-
-
-def unit_weights(g: Graph) -> WeightedGraph:
-    return WeightedGraph(g, (1,) * g.n)
-
 
 @dataclass(frozen=True)
 class Coloring:
-    """Proper coloring; colors are positive integers, count their number."""
+    """Proper coloring; colors are positive integers, count their number.
+    A leaf colorer gives color 0 to the vertices outside its atom."""
 
     colors: tuple[int, ...]
     count: int
-
-    @staticmethod
-    def from_assignment(colors: Sequence[int]) -> "Coloring":
-        cs = tuple(colors)
-        if any(c < 1 for c in cs):
-            raise ValueError("colors must be positive integers")
-        return Coloring(cs, len(set(cs)))
 
 
 def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:

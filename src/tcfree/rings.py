@@ -39,9 +39,6 @@ class GoodPartition:
     def k(self) -> int:
         return len(self.parts)
 
-    def part_sets(self) -> list[frozenset[int]]:
-        return [frozenset(p) for p in self.parts]
-
     def to_json_dict(self) -> dict:
         return {"k": self.k, "parts": [list(p) for p in self.parts]}
 
@@ -346,15 +343,21 @@ def _cycle_mwss(ws: list) -> tuple:
     return cand_a if cand_a[0] >= cand_b[0] else cand_b
 
 
-def hyperhole_mwss(wg: WeightedGraph, parts: Optional[list[tuple[int, ...]]] = None) -> tuple:
-    """Maximum weight stable set of a hyperhole: at most one vertex per
-    part, the chosen parts stable on the underlying cycle. Reduces to the
-    cycle problem over each part's heaviest vertex."""
+def hyperhole_mwss(
+    wg: WeightedGraph, parts: Optional[list[tuple[int, ...]]] = None, mask: Optional[int] = None
+) -> tuple:
+    """Maximum weight stable set of a hyperhole, or of the subgraph that
+    mask induces in it: at most one vertex per part, the chosen parts stable
+    on the underlying cycle. Reduces to the cycle problem over each part's
+    heaviest vertex; a part that mask empties weighs 0 and is never chosen,
+    which leaves the path problem."""
     g, w = wg.graph, wg.weights
     if parts is None:
         parts = recognize_hyperhole(g)
         if parts is None:
             raise ValueError("not a hyperhole")
-    reps = [max(p, key=lambda v: (w[v], -v)) for p in parts]
-    value, idxs = _cycle_mwss([w[r] for r in reps])
+    if mask is not None:
+        parts = [[v for v in p if mask >> v & 1] for p in parts]
+    reps = [max(p, key=lambda v: (w[v], -v), default=None) for p in parts]
+    value, idxs = _cycle_mwss([0 if r is None else w[r] for r in reps])
     return value, frozenset(reps[i] for i in idxs)

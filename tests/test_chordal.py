@@ -16,8 +16,10 @@ from tcfree.chordal import (
     is_simplicial_order,
     simplicial_order,
 )
-from tcfree.generators import cycle_graph, gen_chordal, path_graph
+from tcfree.generators import cycle_graph, gen_chordal, gen_hyperhole, path_graph
 from tcfree.graphs import (
+    Coloring,
+    Graph,
     WeightedGraph,
     bits_list,
     induced_subgraph,
@@ -26,6 +28,7 @@ from tcfree.graphs import (
     is_stable_set,
 )
 from tcfree.oracles import brute_alpha_w, brute_chi, brute_omega_w, is_chordal_brute
+from tcfree.rings import hyperhole_mwss, recognize_hyperhole
 
 
 @given(graphs(max_n=8))
@@ -117,9 +120,9 @@ def test_mask_kernels_match_copied_subgraphs():
         sub_order = simplicial_order(sub)
         if sub_order is None:
             assert simplicial_order(g, mask) is None
-            for kernel in (chordal_mwc, chordal_mwss):
+            for kernel, arg in ((chordal_mwc, wg), (chordal_mwss, wg), (chordal_color, g)):
                 with pytest.raises(NotChordalError):
-                    kernel(wg, mask=mask)
+                    kernel(arg, mask=mask)
             continue
         order = simplicial_order(g, mask)
         assert order == tuple(verts[i] for i in sub_order)
@@ -128,3 +131,33 @@ def test_mask_kernels_match_copied_subgraphs():
         for kernel in (chordal_mwc, chordal_mwss):
             value, chosen = kernel(sub_wg)
             assert kernel(wg, mask=mask) == (value, frozenset(verts[i] for i in chosen))
+        col = chordal_color(sub)
+        colors = [0] * n
+        for v, c in zip(verts, col.colors):
+            colors[v] = c
+        assert chordal_color(g, mask=mask) == Coloring(tuple(colors), col.count)
+
+    # hyperhole_mwss on a mask: a hyperhole that keeps a vertex of every part
+    # is solved exactly as its copy with the parts relabelled; one that loses
+    # a whole part is chordal, and the chordal kernel on the copy gives the
+    # same value
+    for trial in range(300):
+        k = rng.randrange(4, 8)
+        h = gen_hyperhole(0, k, [rng.randrange(1, 4) for _ in range(k)])
+        perm = rng.sample(range(h.n), h.n)
+        g = Graph(h.n, [(perm[u], perm[v]) for u, v in h.edges()])
+        parts = recognize_hyperhole(g)
+        wg = WeightedGraph(g, tuple(rng.randrange(-4, 10) for _ in range(g.n)))
+        mask = rng.randrange(1, 1 << g.n)
+        sub, verts = induced_subgraph(g, bits_list(mask))
+        sub_wg = WeightedGraph(sub, tuple(wg.weights[v] for v in verts))
+        pos = {v: i for i, v in enumerate(verts)}
+        sub_parts = [tuple(pos[v] for v in p if mask >> v & 1) for p in parts]
+        value, chosen = hyperhole_mwss(wg, parts, mask=mask)
+        if all(sub_parts):
+            sub_value, sub_chosen = hyperhole_mwss(sub_wg, sub_parts)
+            assert (value, chosen) == (sub_value, frozenset(verts[i] for i in sub_chosen))
+        else:
+            assert value == chordal_mwss(sub_wg)[0]
+            assert chosen <= set(verts) and is_stable_set(g, chosen)
+            assert sum(wg.weights[v] for v in chosen) == value

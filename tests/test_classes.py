@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rand_graph
-from tcfree import decomposition
+from tcfree import classes, decomposition
 from tcfree.classes import (
     BUH_EVEN_HOLE,
     BUH_K1,
@@ -22,9 +22,13 @@ from tcfree.classes import (
     color_gutcap,
     double_star_cutset_from_cap,
     mwc_gt,
+    mwc_gu,
+    mwc_gutcap,
     mwc_mwss_gu,
     mwc_mwss_gutcap,
     mwss_gt,
+    mwss_gu,
+    mwss_gutcap,
     recognize_bu_h,
     recognize_gt,
     recognize_gu,
@@ -218,13 +222,12 @@ def test_solvers_reject_structural_failures():
     with pytest.raises(NotInClassError, match="universal wheel"):
         mwc_gt(WeightedGraph(uw, (1,) * 6))
 
-    # the Petersen graph is an atom and every vertex non-neighborhood
-    # contains a six-hole
+    # the Petersen graph is an atom and no ring
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     petersen = Graph(10, outer + inner + spokes)
-    with pytest.raises(NotInClassError, match="leaves a hole"):
+    with pytest.raises(NotInClassError, match="true-twin quotient is not a ring"):
         mwss_gt(WeightedGraph(petersen, (1,) * 10))
 
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
@@ -342,14 +345,54 @@ def test_double_star_cutset_validates_input():
     ],
 )
 def test_solvers_decompose_once(monkeypatch, cls, solve):
+    # one build_tree per request, and one basic-family test per atom
     calls = []
     original = decomposition._mcsm
     monkeypatch.setattr(decomposition, "_mcsm", lambda g, mask: calls.append(mask) or original(g, mask))
+    tests = []
+    leaf_test = {"gu": "recognize_bu_h", "gt": "_gt_leaf", "gutcap": "_gutcap_leaf"}[cls]
+    original_test = getattr(classes, leaf_test)
+    monkeypatch.setattr(classes, leaf_test, lambda *args: tests.append(args) or original_test(*args))
     for seed in range(6):
         g = gen_class_member(seed, cls, pieces=4, max_n=16)
         calls.clear()
-        decomposition.build_tree(g)
+        atoms = len(decomposition.build_tree(g).leaves())
         assert len(calls) == 1, (seed, g.n)
         calls.clear()
+        tests.clear()
         solve(g)
         assert len(calls) == 1, (seed, g.n)
+        assert len(tests) == atoms, (seed, g.n)
+
+
+def test_solvers_reject_exactly_what_recognize_rejects():
+    # the solvers run the recognizer's leaf test on every atom; gutcap's
+    # global tests (K23, caps) stay with the recognizer
+    def raises(solver, arg):
+        try:
+            solver(arg)
+        except NotInClassError:
+            return True
+        return False
+
+    rng = random.Random(600)
+    rejected = {"gu": 0, "gt": 0, "gutcap": 0}
+    for _ in range(600):
+        g = rand_graph(rng, rng.randrange(4, 11), rng.uniform(0.2, 0.9))
+        wg = WeightedGraph(g, tuple(rng.randrange(-3, 10) for _ in range(g.n)))
+        member = recognize_gu(g).member
+        rejected["gu"] += not member
+        for solver, arg in ((mwc_gu, wg), (mwss_gu, wg), (color_gu, g)):
+            assert raises(solver, arg) == (not member), (solver.__name__, g.adj)
+        member = recognize_gt(g).member
+        rejected["gt"] += not member
+        assert raises(mwss_gt, wg) == (not member), g.adj
+        rec = recognize_gutcap(g)
+        rejected["gutcap"] += rec.leaf is not None
+        for solver, arg in ((mwc_gutcap, wg), (mwss_gutcap, wg), (color_gutcap, g)):
+            if rec.leaf is not None:
+                assert raises(solver, arg), (solver.__name__, g.adj)
+            elif rec.member:
+                assert not raises(solver, arg), (solver.__name__, g.adj)
+    # most gutcap non-members fail the global tests, so few reach a leaf
+    assert rejected["gu"] >= 50 and rejected["gt"] >= 50 and rejected["gutcap"] >= 1, rejected

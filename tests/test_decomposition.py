@@ -30,6 +30,7 @@ from tcfree.decomposition import (
 )
 from tcfree.generators import complete_graph, cycle_graph, gen_chordal, gen_class_member
 from tcfree.graphs import (
+    Coloring,
     WeightedGraph,
     bits_list,
     induced_subgraph,
@@ -217,9 +218,53 @@ def test_glue_then_decompose_roundtrip():
             assert brute_clique_cutset_exists(sub) is None
 
 
+# Exact leaf solvers under the leaf-solver contract: brute force on the
+# subgraph of the atom (or of the stable-set mask, which must lie inside the
+# atom), answered in the whole graph's labels.
+
+
+def _brute_on(wg, vertices, brute):
+    if not vertices:
+        return 0, frozenset()
+    sub, verts = induced_subgraph(wg.graph, vertices)
+    value, chosen = brute(WeightedGraph(sub, tuple(wg.weights[v] for v in verts)))
+    return value, frozenset(verts[i] for i in chosen)
+
+
+def _exact_mwc_leaves(tree):
+    return [lambda wg, atom=nd.vertices: _brute_on(wg, atom, brute_mwc_set) for nd in tree.leaves()]
+
+
+def _exact_mwss_leaves(tree):
+    def leaf(atom):
+        def solve(wg, mask):
+            assert mask & ~atom == 0
+            return _brute_on(wg, bits_list(mask), brute_mwss_set)
+
+        return solve
+
+    return [leaf(mask_of(nd.vertices)) for nd in tree.leaves()]
+
+
+def _exact_color_leaves(tree):
+    def leaf(atom):
+        def solve(g):
+            sub, verts = induced_subgraph(g, atom)
+            col = exact_coloring(sub)
+            colors = [0] * g.n
+            for v, c in zip(verts, col.colors):
+                colors[v] = c
+            return Coloring(tuple(colors), col.count)
+
+        return solve
+
+    return [leaf(nd.vertices) for nd in tree.leaves()]
+
+
 @given(weighted_graphs(max_n=8))
 def test_solve_mwc_with_exact_leaves(wg):
-    value, chosen = solve_mwc(wg, build_tree(wg.graph), lambda sub: brute_mwc_set(sub))
+    tree = build_tree(wg.graph)
+    value, chosen = solve_mwc(wg, tree, _exact_mwc_leaves(tree))
     assert is_clique(wg.graph, chosen)
     assert sum(wg.weights[v] for v in chosen) == value
     assert value == brute_omega_w(wg)
@@ -227,7 +272,8 @@ def test_solve_mwc_with_exact_leaves(wg):
 
 @given(weighted_graphs(max_n=8))
 def test_solve_mwss_with_exact_leaves(wg):
-    value, chosen = solve_mwss(wg, build_tree(wg.graph), lambda sub: brute_mwss_set(sub))
+    tree = build_tree(wg.graph)
+    value, chosen = solve_mwss(wg, tree, _exact_mwss_leaves(tree))
     assert is_stable_set(wg.graph, chosen)
     assert sum(wg.weights[v] for v in chosen) == value
     assert value == brute_alpha_w(wg)
@@ -235,7 +281,8 @@ def test_solve_mwss_with_exact_leaves(wg):
 
 @given(graphs(max_n=8))
 def test_solve_coloring_with_exact_leaves(g):
-    col = solve_coloring(g, build_tree(g), exact_coloring)
+    tree = build_tree(g)
+    col = solve_coloring(g, tree, _exact_color_leaves(tree))
     assert is_proper_coloring(g, col)
     assert col.count == brute_chi(g)
 
@@ -251,7 +298,8 @@ def test_solve_mwss_reweighting_across_cutsets():
             g = glue(g, piece, [rng.randrange(g.n)], [0])
         ws = tuple(rng.randrange(-3, 9) for _ in range(g.n))
         wg = WeightedGraph(g, ws)
-        value, chosen = solve_mwss(wg, build_tree(wg.graph), lambda sub: brute_mwss_set(sub))
+        tree = build_tree(wg.graph)
+        value, chosen = solve_mwss(wg, tree, _exact_mwss_leaves(tree))
         assert is_stable_set(g, chosen)
         assert value == brute_alpha_w(wg)
         assert sum(ws[v] for v in chosen) == value
