@@ -22,18 +22,35 @@ def simplicial_order(g: Graph, mask: Optional[int] = None) -> Optional[tuple[int
     subgraph is not chordal."""
     if mask is None:
         mask = g.full_mask()
-    remaining = bits_list(mask)
-    weight = dict.fromkeys(remaining, 0)
+    # one mask of unnumbered vertices per weight; a pick raises each
+    # unnumbered neighbor one level, scanning down from the top so that no
+    # vertex moves twice
+    adj = g.adj
+    level = [0] * (mask.bit_count() + 1)
+    level[0] = mask
+    top = 0
     unnumbered = mask
     visit: list[int] = []
-    while remaining:
-        # the least vertex of largest weight: max keeps the first maximum
-        best = max(remaining, key=weight.__getitem__)
-        remaining.remove(best)
+    while unnumbered:
+        # the least vertex of largest weight
+        low = level[top] & -level[top]
+        best = low.bit_length() - 1
         visit.append(best)
-        unnumbered &= ~(1 << best)
-        for u in iter_bits(g.adj[best] & unnumbered):
-            weight[u] += 1
+        level[top] ^= low
+        unnumbered ^= low
+        nbrs = adj[best] & unnumbered
+        j = top
+        while nbrs:
+            moved = nbrs & level[j]
+            if moved:
+                level[j] ^= moved
+                level[j + 1] |= moved
+                nbrs ^= moved
+            j -= 1
+        if level[top + 1]:
+            top += 1
+        while top and not level[top]:
+            top -= 1
     order = tuple(reversed(visit))
     return order if is_simplicial_order(g, order, mask) else None
 

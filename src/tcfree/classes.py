@@ -60,6 +60,7 @@ from .graphs import (
     alpha_at_most_2,
     anticomponents,
     complement,
+    component_of,
     induced_subgraph,
     iter_bits,
     mask_of,
@@ -478,7 +479,7 @@ def double_star_cutset_from_cap(g: Graph, cap: Certificate) -> frozenset[int]:
     if mask_of(cut) & ~star:
         raise NotInClassError("cutset escapes the closed neighborhoods of the attachment edge")
     remaining = g.full_mask() & ~mask_of(cut)
-    side_c = next(m for m in masked_components(g, remaining) if m >> c & 1)
+    side_c = component_of(g, c, remaining)
     if side_c & mask_of(interior):
         raise NotInClassError("cap vertex stays connected to the far rim")
     return frozenset(cut)

@@ -18,16 +18,16 @@ atom named by its mask argument. Leaves that are joins of simpler pieces
 get their leaf solvers from Join.
 
 The cutsets come from one minimal triangulation, maximum cardinality search
-with fill edges (MCS-M+, reachability tested by minimax weight): every
-clique minimal separator of G is the later neighborhood of a generator of
-the search, a vertex whose weight did not grow past the previous pick's
-(Tarjan, "Decomposition by clique separators", 1985; Berry, Pogorelcnik and
-Simonet, "An introduction to clique minimal separator decomposition", 2010).
+with fill edges (MCS-M+, each pick's raises decided by one flood over the
+weight levels, O(n^2) mask operations per pass): every clique minimal
+separator of G is the later neighborhood of a generator of the search, a
+vertex whose weight did not grow past the previous pick's (Tarjan,
+"Decomposition by clique separators", 1985; Berry, Pogorelcnik and Simonet,
+"An introduction to clique minimal separator decomposition", 2010).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -36,11 +36,11 @@ from .graphs import (
     Graph,
     WeightedGraph,
     bits_list,
+    component_of,
     is_clique,
     is_clique_mask,
     iter_bits,
     mask_of,
-    masked_components,
 )
 
 LeafMwcSolver = Callable[[WeightedGraph], tuple]
@@ -61,48 +61,69 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
     is chordal and the fill is inclusion-minimal; the later neighborhood of a
     generator in graph plus fill is a minimal separator.
 
-    A vertex u is reachable from the chosen v when some path through
-    not-yet-chosen vertices keeps every interior weight below u's weight;
-    minimax distances computed Dijkstra-style decide that, with direct
-    neighbors at distance -1.
+    The unnumbered vertices are kept in one mask per weight, and each pick
+    is the least vertex of the highest nonempty level. The minimax rule
+    raises an unnumbered u of weight j when some path from the pick v to u
+    runs through unnumbered vertices all of weight below j, that is, when u
+    touches the component of v in v plus the levels below j. So one flood
+    from v decides every raise of a pick: walking the levels upward, the
+    vertices of level j that touch the flood are raised, and then level j
+    joins the flood. Each vertex enters the flood at most once, so a pick
+    costs O(n) mask operations and a pass O(n^2).
     """
+    adj = g.adj
+    fills = dict.fromkeys(iter_bits(mask), 0)
+    level = [0] * (mask.bit_count() + 1)
+    level[0] = mask
+    top = 0
     unnumbered = mask
-    remaining = bits_list(mask)
-    weight = dict.fromkeys(remaining, 0)
-    fills = dict.fromkeys(remaining, 0)
     selection: list[int] = []
     generators = 0
     previous = -1  # so the first pick is no generator
-    while remaining:
-        # the least vertex of largest weight: max keeps the first maximum
-        v = max(remaining, key=weight.__getitem__)
-        if weight[v] <= previous:
-            generators |= 1 << v
-        previous = weight[v]
-        remaining.remove(v)
+    while unnumbered:
+        low = level[top] & -level[top]
+        v = low.bit_length() - 1
+        if top <= previous:
+            generators |= low
+        previous = top
         selection.append(v)
-        unnumbered &= ~(1 << v)
+        level[top] ^= low
+        unnumbered ^= low
 
-        dist: dict[int, int] = {}
-        heap: list[tuple[int, int]] = []
-        for u in iter_bits(g.adj[v] & unnumbered):
-            dist[u] = -1
-            heapq.heappush(heap, (-1, u))
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, d):
-                continue
-            step = max(d, weight[u])
-            for y in iter_bits(g.adj[u] & unnumbered):
-                if step < dist.get(y, g.n + 1):
-                    dist[y] = step
-                    heapq.heappush(heap, (step, y))
-        for u, d in dist.items():
-            if d < weight[u]:
-                weight[u] += 1
-                if not g.has_edge(u, v):
-                    fills[u] |= 1 << v
-                    fills[v] |= 1 << u
+        # flood: the component of v in v plus the levels walked so far;
+        # touch: its unnumbered neighbors; walked: the levels walked so far
+        flood = low
+        touch = adj[v] & unnumbered
+        walked = 0
+        raised_all = 0
+        for j in range(top + 1):
+            if not touch & ~walked:
+                break
+            # vertices raised out of level j - 1 are in the flood already
+            members = level[j] & ~flood
+            raised = touch & members
+            if raised:
+                level[j] ^= raised
+                level[j + 1] |= raised
+                raised_all |= raised
+            walked |= members
+            frontier = raised
+            while frontier:
+                flood |= frontier
+                grow = 0
+                for u in iter_bits(frontier):
+                    grow |= adj[u]
+                touch |= grow & unnumbered
+                frontier = grow & walked & ~flood
+        if level[top + 1]:
+            top += 1
+        while top and not level[top]:
+            top -= 1
+        fill = raised_all & ~adj[v]
+        if fill:
+            fills[v] |= fill
+            for u in iter_bits(fill):
+                fills[u] |= low
     return list(reversed(selection)), fills, generators
 
 
@@ -167,7 +188,7 @@ def build_tree(g: Graph) -> DecompositionTree:
         cutset = (g.adj[v] | fills[v]) & later
         if not is_clique_mask(g, cutset):
             continue
-        comp = next(c for c in masked_components(g, rest & ~cutset) if c >> v & 1)
+        comp = component_of(g, v, rest & ~cutset)
         leaves.append(comp | cutset)
         splits.append((rest, cutset))
         rest &= ~comp

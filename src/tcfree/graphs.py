@@ -98,6 +98,19 @@ def _graph_from_masks(n: int, adj: Sequence[int]) -> Graph:
     return out
 
 
+def component_of(g: Graph, v: int, mask: int) -> int:
+    """The connected component holding v of g restricted to the vertices in
+    mask, as a mask; v must lie in mask."""
+    comp = frontier = 1 << v
+    while frontier:
+        grow = 0
+        for u in iter_bits(frontier):
+            grow |= g.adj[u]
+        frontier = grow & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 def masked_components(g: Graph, mask: int) -> list[int]:
     """Connected components of g restricted to the vertices in mask, as masks.
 
@@ -106,15 +119,7 @@ def masked_components(g: Graph, mask: int) -> list[int]:
     comps = []
     rest = mask
     while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & rest & ~comp
-            comp |= frontier
+        comp = component_of(g, (rest & -rest).bit_length() - 1, rest)
         comps.append(comp)
         rest &= ~comp
     return comps

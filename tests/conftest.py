@@ -13,6 +13,7 @@ from tcfree.graphs import (
     is_clique,
     is_stable_set,
 )
+from tcfree.generators import gen_chordal, gen_class_member
 from tcfree.oracles import brute_chi
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
@@ -87,3 +88,16 @@ def exact_coloring(g: Graph) -> Coloring:
 
     assert rec(0)
     return Coloring(tuple(colors), len(set(colors)))
+
+
+def differential_graphs():
+    """Random graphs up to 16 vertices, small class members and chordal
+    graphs up to 40 vertices, each with whether it was built chordal."""
+    rng = random.Random(2010)
+    for _ in range(2000):
+        yield rand_graph(rng, rng.randrange(1, 17), rng.uniform(0.05, 0.9)), False
+    for seed in range(25):
+        for cls in ("gut", "gu", "gt", "gutcap"):
+            yield gen_class_member(seed, cls, pieces=rng.randrange(1, 5), max_n=rng.randrange(8, 31)), False
+    for seed in range(80):
+        yield gen_chordal(seed, rng.randrange(1, 41), rng.random()), True

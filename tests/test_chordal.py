@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_mwc_set, brute_mwss_set, graphs, rand_graph
+from conftest import brute_mwc_set, brute_mwss_set, differential_graphs, graphs, rand_graph
 from tcfree.chordal import (
     NotChordalError,
     chordal_color,
@@ -26,9 +26,38 @@ from tcfree.graphs import (
     is_clique,
     is_proper_coloring,
     is_stable_set,
+    iter_bits,
 )
 from tcfree.oracles import brute_alpha_w, brute_chi, brute_omega_w, is_chordal_brute
 from tcfree.rings import hyperhole_mwss, recognize_hyperhole
+
+
+def _ref_simplicial_order(g, mask):
+    """The maximum cardinality search simplicial_order ran before it kept one
+    mask per weight level: a scan of the unnumbered vertices for the least of
+    largest weight at each pick, kept as its reference."""
+    remaining = bits_list(mask)
+    weight = dict.fromkeys(remaining, 0)
+    unnumbered = mask
+    visit = []
+    while remaining:
+        best = max(remaining, key=weight.__getitem__)
+        remaining.remove(best)
+        visit.append(best)
+        unnumbered &= ~(1 << best)
+        for u in iter_bits(g.adj[best] & unnumbered):
+            weight[u] += 1
+    order = tuple(reversed(visit))
+    return order if is_simplicial_order(g, order, mask) else None
+
+
+def test_simplicial_order_matches_the_scan_reference():
+    rng = random.Random(1976)
+    for g, _ in differential_graphs():
+        masks = [g.full_mask(), rng.randrange(1 << g.n), rng.randrange(1 << g.n)]
+        masks.extend(g.closed_mask(v) for v in range(g.n))
+        for mask in masks:
+            assert simplicial_order(g, mask) == _ref_simplicial_order(g, mask), (g.adj, mask)
 
 
 @given(graphs(max_n=8))

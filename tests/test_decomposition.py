@@ -5,6 +5,7 @@ random graphs: whatever the tree looks like, combining exact leaf answers
 must reproduce the global exact answer.
 """
 
+import heapq
 import random
 
 from hypothesis import given
@@ -12,6 +13,7 @@ from hypothesis import given
 from conftest import (
     brute_mwc_set,
     brute_mwss_set,
+    differential_graphs,
     exact_coloring,
     graphs,
     rand_graph,
@@ -28,7 +30,7 @@ from tcfree.decomposition import (
     solve_mwc,
     solve_mwss,
 )
-from tcfree.generators import complete_graph, cycle_graph, gen_chordal, gen_class_member
+from tcfree.generators import complete_graph, cycle_graph
 from tcfree.graphs import (
     Coloring,
     WeightedGraph,
@@ -43,6 +45,61 @@ from tcfree.graphs import (
     masked_components,
 )
 from tcfree.oracles import brute_alpha_w, brute_chi, brute_clique_cutset_exists, brute_omega_w
+
+
+# The MCS-M kernel _mcsm had before it kept one mask per weight level: a
+# Dijkstra-style minimax search per pick, kept as the reference the level
+# kernel is checked against.
+
+
+def _ref_mcsm(g, mask):
+    """(order, fills, generators) of MCS-M+ on the subgraph induced by mask:
+    u is raised when some path from the pick through unnumbered vertices
+    keeps every interior weight below u's weight."""
+    unnumbered = mask
+    remaining = bits_list(mask)
+    weight = dict.fromkeys(remaining, 0)
+    fills = dict.fromkeys(remaining, 0)
+    selection = []
+    generators = 0
+    previous = -1
+    while remaining:
+        v = max(remaining, key=weight.__getitem__)
+        if weight[v] <= previous:
+            generators |= 1 << v
+        previous = weight[v]
+        remaining.remove(v)
+        selection.append(v)
+        unnumbered &= ~(1 << v)
+
+        dist = {}
+        heap = []
+        for u in iter_bits(g.adj[v] & unnumbered):
+            dist[u] = -1
+            heapq.heappush(heap, (-1, u))
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist.get(u, d):
+                continue
+            step = max(d, weight[u])
+            for y in iter_bits(g.adj[u] & unnumbered):
+                if step < dist.get(y, g.n + 1):
+                    dist[y] = step
+                    heapq.heappush(heap, (step, y))
+        for u, d in dist.items():
+            if d < weight[u]:
+                weight[u] += 1
+                if not g.has_edge(u, v):
+                    fills[u] |= 1 << v
+                    fills[v] |= 1 << u
+    return list(reversed(selection)), fills, generators
+
+
+def test_mcsm_matches_the_minimax_reference():
+    rng = random.Random(2004)
+    for g, _ in differential_graphs():
+        for mask in (g.full_mask(), rng.randrange(1 << g.n), rng.randrange(1 << g.n)):
+            assert _mcsm(g, mask) == _ref_mcsm(g, mask), (g.adj, mask)
 
 
 # The cut search build_tree ran before it took the atoms from one MCS-M
@@ -110,19 +167,8 @@ def _ref_build_tree(g):
     return DecompositionTree(tuple(nodes), root)
 
 
-def _differential_graphs():
-    rng = random.Random(2010)
-    for _ in range(2000):
-        yield rand_graph(rng, rng.randrange(1, 17), rng.uniform(0.05, 0.9)), False
-    for seed in range(25):
-        for cls in ("gut", "gu", "gt", "gutcap"):
-            yield gen_class_member(seed, cls, pieces=rng.randrange(1, 5), max_n=rng.randrange(8, 31)), False
-    for seed in range(80):
-        yield gen_chordal(seed, rng.randrange(1, 41), rng.random()), True
-
-
 def test_build_tree_leaves_are_the_reference_maximal_leaves():
-    for g, chordal in _differential_graphs():
+    for g, chordal in differential_graphs():
         tree = build_tree(g)
         ref = _ref_build_tree(g)
         leaves = [mask_of(nd.vertices) for nd in tree.leaves()]
