@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -105,10 +105,10 @@ _VERTEX_LIST_KEYS = {"vertices", "paths", "cutset", "parts", "leaf", "anticompon
 _VERTEX_INT_KEYS = {"center"}
 
 
-def _shift_nested(value):
-    if isinstance(value, int):
-        return value + 1
-    return [_shift_nested(x) for x in value]
+def _shift_nested(value: list) -> list:
+    if value and not isinstance(value[0], int):
+        return [_shift_nested(x) for x in value]
+    return [x + 1 for x in value]
 
 
 def _to_external(obj):
@@ -143,19 +143,42 @@ def _decimal_text(q: Fraction) -> str:
     return f"-{digits}" if q < 0 else digits
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2) writes, with each
+    Fraction as its exact decimal. A list of ints is joined in one call, so
+    no Python code runs per vertex."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, Fraction):
+        return _decimal_text(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj))
+        return "{" + inner + f",{inner}".join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_json_text(x, inner) for x in obj)
+        return "[" + inner + f",{inner}".join(items) + indent + "]"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def _emit(payload: dict) -> None:
     """Write payload as JSON; Fractions become numbers in exact decimals."""
-    exact: list[str] = []
-
-    def placeholder(obj):
-        if not isinstance(obj, Fraction):
-            raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-        exact.append(_decimal_text(obj))
-        return f"\0{len(exact) - 1}"
-
-    text = json.dumps(payload, sort_keys=True, indent=2, default=placeholder)
-    text = re.sub(r'"\\u0000(\d+)"', lambda m: exact[int(m.group(1))], text)
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------

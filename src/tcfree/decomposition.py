@@ -190,7 +190,7 @@ def build_tree(g: Graph) -> DecompositionTree:
             continue
         comp = component_of(g, v, rest & ~cutset)
         leaves.append(comp | cutset)
-        splits.append((rest, cutset))
+        splits.append((comp, cutset))
         rest &= ~comp
     leaves.append(rest)
     # vertex tuples are made from lists: tuple() of a generator reallocates
@@ -199,8 +199,12 @@ def build_tree(g: Graph) -> DecompositionTree:
     nodes = [TreeNode(i, "leaf", tuple(bits_list(m)), None, ()) for i, m in enumerate(leaves)]
     child = len(leaves) - 1
     for i in reversed(range(len(splits))):
-        mask, cutset = splits[i]
-        nodes.append(TreeNode(len(nodes), "internal", tuple(bits_list(mask)), tuple(bits_list(cutset)), (i, child)))
+        # a chain node holds its inner child's vertices plus the component
+        # its split removes; sorting the two sorted runs merges them in C,
+        # so only the component's bits are expanded in Python
+        comp, cutset = splits[i]
+        vertices = tuple(sorted(nodes[child].vertices + tuple(bits_list(comp))))
+        nodes.append(TreeNode(len(nodes), "internal", vertices, tuple(bits_list(cutset)), (i, child)))
         child = len(nodes) - 1
     return DecompositionTree(tuple(nodes), child)
 

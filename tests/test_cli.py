@@ -1,21 +1,24 @@
 """End-to-end command line tests driven through cli.main."""
 
-import argparse
 import gc
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from tcfree import classes
-from tcfree.decomposition import DecompositionTree, TreeNode
+from tcfree import classes, cli
+from tcfree.classes import Recognition
 from tcfree.cli import main
+from tcfree.decomposition import build_tree
+from tcfree.detectors import Certificate
 from tcfree.generators import (
     complete_graph,
     cycle_graph,
+    gen_chordal,
     gen_class_member,
     join_graphs,
 )
@@ -294,23 +297,85 @@ def test_oversized_header_exits_2(tmp_path, capsys):
 
 def test_requests_leave_no_reference_cycles(tmp_path, capsys):
     # garbage in a cycle lives until a full collection, so a request that
-    # leaves its tree or graph in one holds that memory across requests
+    # leaves its tree, graph or encoder state in one holds that memory
+    # across requests
     g = gen_class_member(3, "gu", pieces=4, max_n=24)
     path = write_graph(tmp_path, g, [1 + v % 4 for v in range(g.n)])
+    k23 = write_graph(tmp_path, K23, name="k23.txt")
     requests = (
-        ["solve", "--class", "gu", "--problem", "color", path],
-        ["solve", "--class", "gu", "--problem", "mwss", path],
-        ["decompose", path],
+        (["solve", "--class", "gu", "--problem", "color", path], 0),
+        (["solve", "--class", "gu", "--problem", "mwss", path], 0),
+        (["decompose", path], 0),
+        (["recognize", "--class", "gu", path], 0),
+        (["recognize", "--class", "gut", k23], 1),
     )
-    kept = (TreeNode, DecompositionTree, Graph, argparse.ArgumentParser)
     flags = gc.get_debug()
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for argv in requests:
-            assert run(capsys, argv)[0] == 0
+        for argv, code in requests:
+            assert run(capsys, argv)[0] == code
             gc.collect()
-            assert not [type(obj).__name__ for obj in gc.garbage if isinstance(obj, kept)], argv
+            assert not [type(obj).__name__ for obj in gc.garbage], argv
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+
+
+def _json_dumps_text(payload) -> str:
+    """The reference rendering: json.dumps with sort_keys and indent 2, each
+    Fraction written as its exact decimal."""
+    exact = []
+
+    def placeholder(obj):
+        if not isinstance(obj, Fraction):
+            raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+        exact.append(cli._decimal_text(obj))
+        return f"\0{len(exact) - 1}"
+
+    text = json.dumps(payload, sort_keys=True, indent=2, default=placeholder)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: exact[int(m.group(1))], text) + "\n"
+
+
+def _recognize_payload(cls, rec):
+    payload = {"class": cls, "certificate": None}
+    payload.update(cli._to_external(rec.to_json_dict()))
+    return payload
+
+
+def test_emit_matches_json_dumps(capsys):
+    payloads = []
+    for seed, n, density in ((1, 1, 0.5), (2, 7, 0.1), (3, 40, 0.5), (11, 300, 0.6)):
+        payloads.append(cli._to_external(build_tree(gen_chordal(seed, n, density)).to_json_dict()))
+    for seed, cls in ((1, "gu"), (2, "gu"), (1, "gt"), (2, "gt")):
+        g = gen_class_member(seed, cls, pieces=3, max_n=30)
+        payloads.append(cli._to_external(build_tree(g).to_json_dict()))
+    theta = Certificate("Theta", (0, 1, 2, 3, 4), center=4, paths=((0, 1, 3), (0, 3), (0, 2, 4, 3)))
+    payloads.append(_recognize_payload("gut", Recognition(False, theta, reason="theta found")))
+    payloads.append(
+        _recognize_payload(
+            "gu",
+            Recognition(False, reason="leaf fails", leaf=frozenset({5, 0, 3, 9}), anticomponent=frozenset({9, 3})),
+        )
+    )
+    payloads.append(_recognize_payload("gt", Recognition(True)))
+    for value in (Fraction(-7, 4), Fraction(6), Fraction(1, 10), Fraction(-1, 20), 12):
+        solution = {"kind": "stable_set", "vertices": [1, 4, 6]}
+        payloads.append({"class": "gu", "member": True, "certificate": None, "solution": solution, "value": value})
+    payloads.append(
+        {
+            "empty_list": [],
+            "empty_dict": {},
+            "nested": [[1, 2], [], [[3, -4]], [{}], {"z": [], "a": [0]}],
+            "none": None,
+            "flags": [True, False, 1, 0],
+            "text": "na\u00efve \u2713 \"quoted\"\n",
+            "mixed": [1, "two", None, Fraction(3, 2), (5, 6)],
+            "big": 10**30,
+        }
+    )
+    for payload in payloads:
+        cli._emit(payload)
+        assert capsys.readouterr().out == _json_dumps_text(payload)
+    with pytest.raises(TypeError):
+        cli._emit({"vertices": {1, 2}})

@@ -179,9 +179,10 @@ def test_build_tree_leaves_are_the_reference_maximal_leaves():
         for node in tree.nodes:
             if node.kind == "leaf":
                 continue
-            atom, rest = (mask_of(tree.node(i).vertices) for i in node.children)
+            kids = [tree.node(i).vertices for i in node.children]
+            assert node.vertices == tuple(sorted({*kids[0], *kids[1]})), g.adj
+            atom, rest = map(mask_of, kids)
             c = mask_of(node.cutset)
-            assert atom | rest == mask_of(node.vertices)
             assert atom & rest == c
             a, b = atom & ~c, rest & ~c
             assert a and b and is_clique_mask(g, c)
