@@ -1,8 +1,9 @@
 """Chordal graph routines: recognition, coloring, cliques, stable sets.
 
-All four run in low polynomial time off a perfect elimination order. The
-order is produced by maximum cardinality search and then verified, so
-non-chordal inputs are rejected rather than silently mishandled.
+All four run off a perfect elimination order of the subgraph on a vertex
+mask. One maximum cardinality search builds it and, in the same pass, checks
+that each vertex's later neighbors form a clique (Tarjan and Yannakakis
+1984), so a non-chordal input is rejected, never silently mishandled.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ def simplicial_order(g: Graph, mask: Optional[int] = None) -> Optional[tuple[int
         # the least vertex of largest weight
         low = level[top] & -level[top]
         best = low.bit_length() - 1
+        # its neighbors picked before it must form a clique
+        earlier = adj[best] & (mask ^ unnumbered)
+        rest = earlier
+        while rest:
+            bit = rest & -rest
+            if earlier & ~adj[bit.bit_length() - 1] != bit:
+                return None
+            rest ^= bit
         visit.append(best)
         level[top] ^= low
         unnumbered ^= low
@@ -51,8 +60,7 @@ def simplicial_order(g: Graph, mask: Optional[int] = None) -> Optional[tuple[int
             top += 1
         while top and not level[top]:
             top -= 1
-    order = tuple(reversed(visit))
-    return order if is_simplicial_order(g, order, mask) else None
+    return tuple(reversed(visit))
 
 
 def is_simplicial_order(g: Graph, order, mask: Optional[int] = None) -> bool:
@@ -80,26 +88,20 @@ def is_chordal(g: Graph) -> bool:
     return simplicial_order(g) is not None
 
 
-def _require_order(g: Graph, order=None, mask: Optional[int] = None) -> tuple[int, ...]:
+def _require_order(g: Graph, mask: int) -> tuple[int, ...]:
+    order = simplicial_order(g, mask)
     if order is None:
-        order = simplicial_order(g, mask)
-        if order is None:
-            raise NotChordalError("graph is not chordal")
-        return order
-    order = tuple(order)
-    if not is_simplicial_order(g, order, mask):
-        raise NotChordalError("invalid elimination order")
+        raise NotChordalError("graph is not chordal")
     return order
 
 
-def chordal_color(g: Graph, order=None, mask: Optional[int] = None) -> Coloring:
+def chordal_color(g: Graph, mask: Optional[int] = None) -> Coloring:
     """Optimal coloring of the subgraph induced by mask, all of g when
     omitted; vertices outside mask get color 0. Greedy in reverse
-    elimination order uses exactly as many colors as the largest clique.
-    The order is computed when omitted and verified when supplied."""
+    elimination order uses exactly as many colors as the largest clique."""
     if mask is None:
         mask = g.full_mask()
-    order = _require_order(g, order, mask)
+    order = _require_order(g, mask)
     colors = [0] * g.n
     for v in reversed(order):
         used = 0
@@ -114,7 +116,7 @@ def chordal_color(g: Graph, order=None, mask: Optional[int] = None) -> Coloring:
     return Coloring(tuple(colors), count)
 
 
-def chordal_mwc(wg: WeightedGraph, order=None, mask: Optional[int] = None) -> tuple:
+def chordal_mwc(wg: WeightedGraph, mask: Optional[int] = None) -> tuple:
     """Maximum weight clique as (weight, vertices) in the subgraph induced by
     mask, all of wg's graph when omitted. The empty clique counts, so the
     value is never negative. Nonpositive-weight vertices are dropped; on
@@ -123,7 +125,7 @@ def chordal_mwc(wg: WeightedGraph, order=None, mask: Optional[int] = None) -> tu
     g, w = wg.graph, wg.weights
     if mask is None:
         mask = g.full_mask()
-    order = _require_order(g, order, mask)
+    order = _require_order(g, mask)
     live = mask_of(v for v in order if w[v] > 0)
     best = 0
     best_set: frozenset[int] = frozenset()
@@ -140,7 +142,7 @@ def chordal_mwc(wg: WeightedGraph, order=None, mask: Optional[int] = None) -> tu
     return best, best_set
 
 
-def chordal_mwss(wg: WeightedGraph, order=None, mask: Optional[int] = None) -> tuple:
+def chordal_mwss(wg: WeightedGraph, mask: Optional[int] = None) -> tuple:
     """Maximum weight stable set as (weight, vertices) in the subgraph
     induced by mask, all of wg's graph when omitted.
 
@@ -153,7 +155,7 @@ def chordal_mwss(wg: WeightedGraph, order=None, mask: Optional[int] = None) -> t
     g, w = wg.graph, wg.weights
     if mask is None:
         mask = g.full_mask()
-    order = _require_order(g, order, mask)
+    order = _require_order(g, mask)
     residual = list(w)
     marked = []
     later = mask

@@ -18,7 +18,7 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .graphs import Graph, WeightedGraph
+from .graphs import Graph, WeightedGraph, _graph_from_masks
 
 # Graphs hold one adjacency bitmask per vertex and the algorithms are
 # polynomial of degree three and up, so far larger inputs could not be
@@ -50,8 +50,8 @@ def _parse_weight(tok: str, lineno: int):
 
 def parse_graph(text: str) -> WeightedGraph:
     n = m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj: list[int] = []
+    found = 0
     weights: list = []
     weighted: set[int] = set()
 
@@ -76,6 +76,7 @@ def parse_graph(text: str) -> WeightedGraph:
                 raise ParseError(f"line {lineno}: header announced {n} vertices, more than the limit of {MAX_VERTICES}")
             if m > n * (n - 1) // 2:
                 raise ParseError(f"line {lineno}: header announced {m} edges, more than {n} vertices can hold")
+            adj = [0] * n
             weights = [1] * n
         elif tag == "e":
             if n is None:
@@ -90,11 +91,12 @@ def parse_graph(text: str) -> WeightedGraph:
                 raise ParseError(f"line {lineno}: endpoint out of range 1..{n}")
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            bit = 1 << (v - 1)
+            if adj[u - 1] & bit:
                 raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
-            seen.add(key)
-            edges.append((u - 1, v - 1))
+            adj[u - 1] |= bit
+            adj[v - 1] |= 1 << (u - 1)
+            found += 1
         elif tag == "w":
             if n is None:
                 raise ParseError(f"line {lineno}: weight before header")
@@ -115,9 +117,9 @@ def parse_graph(text: str) -> WeightedGraph:
 
     if n is None:
         raise ParseError("missing 'p <n> <m>' header")
-    if len(edges) != m:
-        raise ParseError(f"header announced {m} edges but found {len(edges)}")
-    return WeightedGraph(Graph(n, edges), tuple(weights))
+    if found != m:
+        raise ParseError(f"header announced {m} edges but found {found}")
+    return WeightedGraph(_graph_from_masks(n, adj), tuple(weights))
 
 
 def format_graph(g: Graph, weights=None) -> str:

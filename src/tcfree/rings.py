@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Optional, Sequence
 
-from .chordal import is_chordal
+from .chordal import is_chordal, simplicial_order
 from .detectors import canonical_cycle
 from .graphs import (
     Coloring,
     Graph,
     WeightedGraph,
     complement,
-    induced_subgraph,
     iter_bits,
     mask_of,
     masked_components,
@@ -127,8 +126,7 @@ def recognize_ring(g: Graph) -> Optional[GoodPartition]:
     x1_order = _dominance_order(g, x1_mask)
     if x1_order is None or x1_mask == full:
         return None
-    rest, _ = induced_subgraph(g, list(iter_bits(full & ~x1_mask)))
-    if not is_chordal(rest):
+    if simplicial_order(g, full & ~x1_mask) is None:
         return None
     u1 = x1_order[0]
 
@@ -171,6 +169,8 @@ def _single_cycle_order(g: Graph) -> Optional[list[int]]:
     n = g.n
     if n < 4 or any(g.degree(v) != 2 for v in range(n)):
         return None
+    # with every degree 2, a walk from 0 that has not returned within n - 1
+    # steps lies on one cycle through all n vertices, which has no chord
     order = [0]
     prev = -1
     cur = 0
@@ -180,12 +180,6 @@ def _single_cycle_order(g: Graph) -> Optional[list[int]]:
             return None
         prev, cur = cur, nxt
         order.append(cur)
-    if not g.has_edge(cur, 0) or len(set(order)) != n:
-        return None
-    for i, u in enumerate(order):
-        for j in range(i + 2, n):
-            if (i, j) != (0, n - 1) and g.has_edge(u, order[j]):
-                return None
     return order
 
 

@@ -75,22 +75,49 @@ def test_invalid_order_rejected():
     # eliminating the middle vertex first leaves its two nonadjacent
     # neighbors later in the order
     assert not is_simplicial_order(p4, (1, 0, 2, 3))
-    with pytest.raises(NotChordalError, match="invalid elimination order"):
-        chordal_color(p4, order=(1, 0, 2, 3))
-    with pytest.raises(NotChordalError, match="invalid elimination order"):
-        chordal_mwc(WeightedGraph(p4, (1, 1, 1, 1)), order=(1, 0, 2, 3))
+    assert is_simplicial_order(p4, simplicial_order(p4))
     with pytest.raises(NotChordalError, match="not chordal"):
         chordal_color(cycle_graph(5))
+    with pytest.raises(NotChordalError, match="not chordal"):
+        chordal_mwc(WeightedGraph(cycle_graph(5), (1,) * 5))
 
 
 def test_supplied_valid_order_used():
     p4 = path_graph(4)
-    order = (0, 3, 1, 2)
-    assert is_simplicial_order(p4, order)
-    col = chordal_color(p4, order=order)
+    assert is_simplicial_order(p4, (0, 3, 1, 2))
+    col = chordal_color(p4)
     assert is_proper_coloring(p4, col) and col.count == 2
-    value, _ = chordal_mwss(WeightedGraph(p4, (2, 1, 1, 2)), order=order)
+    value, _ = chordal_mwss(WeightedGraph(p4, (2, 1, 1, 2)))
     assert value == 4
+
+
+def test_kernels_do_not_reverify_their_order(monkeypatch):
+    # the search checks its order as it builds it; is_simplicial_order is the
+    # independent checker and no kernel calls it
+    def fail(*args, **kwargs):
+        raise AssertionError("is_simplicial_order called")
+
+    monkeypatch.setattr("tcfree.chordal.is_simplicial_order", fail)
+    rng = random.Random(1984)
+    seen = set()
+    for trial in range(300):
+        n = rng.randrange(1, 12)
+        g = gen_chordal(rng.randrange(2**30), n, rng.random()) if trial % 2 else rand_graph(rng, n, rng.random())
+        wg = WeightedGraph(g, tuple(rng.randrange(-4, 10) for _ in range(n)))
+        for mask in (None, rng.randrange(1, 1 << n)):
+            sub, _ = induced_subgraph(g, bits_list(g.full_mask() if mask is None else mask))
+            chordal_mask = is_chordal_brute(sub)
+            seen.add(chordal_mask)
+            assert (simplicial_order(g, mask) is not None) == chordal_mask
+            if mask is None:
+                assert is_chordal(g) == chordal_mask
+            for kernel, arg in ((chordal_mwc, wg), (chordal_mwss, wg), (chordal_color, g)):
+                if chordal_mask:
+                    kernel(arg, mask=mask)
+                else:
+                    with pytest.raises(NotChordalError):
+                        kernel(arg, mask=mask)
+    assert seen == {False, True}
 
 
 @given(st.integers(0, 2**30), st.integers(1, 11), st.floats(0, 1))

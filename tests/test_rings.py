@@ -28,6 +28,7 @@ from tcfree.oracles import (
     truemper_present,
 )
 from tcfree.rings import (
+    _single_cycle_order,
     hyperhole_color,
     hyperhole_mwc,
     hyperhole_mwss,
@@ -109,6 +110,38 @@ def test_recognize_hyperhole():
     if recognize_ring(staircase) is not None:
         assert recognize_hyperhole(staircase) is None
     assert recognize_hyperhole(complete_graph(4)) is None
+
+
+def test_single_cycle_order_finds_exactly_the_spanning_holes():
+    # near-2-regular graphs: disjoint cycles over a shuffled vertex set with
+    # an edge sometimes added or dropped, plus plain random graphs
+    rng = random.Random(2017)
+    found = 0
+    for trial in range(3000):
+        n = rng.randrange(1, 10)
+        if trial % 4 == 0:
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        else:
+            vs = rng.sample(range(n), n)
+            edges = set()
+            start = 0
+            while n - start >= 3:
+                size = rng.randrange(3, n - start + 1)
+                cycle = vs[start : start + size]
+                edges.update(frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1]))
+                start += size
+            pairs = [frozenset((u, v)) for u in range(n) for v in range(u + 1, n)]
+            if pairs and rng.random() < 0.3:
+                edges ^= {rng.choice(pairs)}
+            g = Graph(n, [tuple(e) for e in edges])
+        order = _single_cycle_order(g)
+        spanning = any(len(h) == n for h in enumerate_holes(g))
+        assert (order is not None) == spanning, g.adj
+        if order is not None:
+            found += 1
+            assert sorted(order) == list(range(n))
+            assert all(g.has_edge(u, v) for u, v in zip(order, order[1:] + order[:1]))
+    assert found > 100
 
 
 @given(ring_params)
