@@ -146,23 +146,57 @@ class Recognition:
 # runs the class's basic-family test, raises NotInClassError naming the
 # failing leaf on failure, and otherwise returns the atom's leaf solvers in
 # g's labels. The recognizer and every solver of the class call it once per
-# atom.
+# atom. gut and gutcap also exclude graphs that their leaf tests do not
+# see; their global test raises NotInClassError with a certificate before
+# the decomposition is built.
 
 
-def _recognize_leaves(g: Graph, leaf: Callable) -> Recognition:
+def _recognize_leaves(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> Recognition:
     try:
+        if global_test is not None:
+            global_test(g)
         for node in build_tree(g).leaves():
             leaf(g, node.vertices)
     except NotInClassError as exc:
-        return Recognition(False, reason=str(exc), leaf=exc.leaf, anticomponent=exc.anticomponent)
+        return Recognition(False, exc.certificate, str(exc), exc.leaf, exc.anticomponent)
     return Recognition(True)
 
 
-def _leaf_solvers(g: Graph, leaf: Callable) -> tuple[DecompositionTree, list]:
+def _leaf_solvers(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> tuple[DecompositionTree, list]:
     """The decomposition tree of g and the leaf solvers of its leaves, in
     the order the tree lists them."""
+    if global_test is not None:
+        global_test(g)
     tree = build_tree(g)
     return tree, [leaf(g, node.vertices) for node in tree.leaves()]
+
+
+def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:
+    """search(find, *args) runs find(quotient, *args) on the true-twin
+    quotient of g and lifts the certificate to g, each vertex to the least
+    vertex of its twin class.
+
+    K23, C6BAR, W54, caps and long holes have no two true twins, so every
+    copy in g meets a twin class at most once and g holds one exactly when
+    the quotient does. The classes are ordered by least vertex, so the lift
+    is monotone: it keeps the least copy, the first one in a search's order
+    and canonical_cycle, and the certificate is the one find(g, *args)
+    gives. Every search on g shares the one quotient.
+    """
+    _, quotient, reps = true_twin_partition(g)
+
+    def search(find: Callable[..., Optional[Certificate]], *args) -> Optional[Certificate]:
+        cert = find(quotient, *args)
+        if cert is None:
+            return None
+        return Certificate(
+            cert.kind,
+            tuple(reps[v] for v in cert.vertices),
+            None if cert.center is None else reps[cert.center],
+            None if cert.paths is None else tuple(tuple(reps[v] for v in p) for p in cert.paths),
+        )
+
+    return search
 
 
 def _chordal_piece(mask: int) -> JoinPiece:
@@ -191,7 +225,7 @@ def _gut_leaf(g: Graph, atom: Sequence[int]) -> None:
         ring = recognize_ring(h)
         if ring is not None and ring.k >= 5:
             continue
-        if find_long_hole(h) is None:
+        if _twin_quotient_search(h)(find_long_hole) is None:
             continue
         if alpha_at_most_2(h):
             continue
@@ -202,15 +236,19 @@ def _gut_leaf(g: Graph, atom: Sequence[int]) -> None:
         )
 
 
+def _gut_global(g: Graph) -> None:
+    search = _twin_quotient_search(g)
+    for kind in (K23, C6BAR, W54):
+        cert = search(find_small_obstruction, kind)
+        if cert is not None:
+            raise NotInClassError(f"contains {kind}", certificate=cert)
+
+
 def recognize_gut(g: Graph) -> Recognition:
     """The class forbids exactly the Truemper configurations that are
     anticonnected and contain a long hole, plus three small graphs. So:
     reject on a small obstruction, then test each decomposition leaf."""
-    for kind in (K23, C6BAR, W54):
-        cert = find_small_obstruction(g, kind)
-        if cert is not None:
-            return Recognition(False, certificate=cert, reason=f"contains {kind}")
-    return _recognize_leaves(g, _gut_leaf)
+    return _recognize_leaves(g, _gut_leaf, _gut_global)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +354,7 @@ def _bt_leaf_ok(sub: Graph) -> bool:
     """A gt leaf contracted by true twins must be a single vertex, a ring,
     or a 7-antihole; complete graphs contract to a vertex and
     7-hyperantiholes to the 7-antihole."""
-    _, quotient = true_twin_partition(sub)
+    _, quotient, _ = true_twin_partition(sub)
     if quotient.n == 1:
         return True
     if recognize_ring(quotient) is not None:
@@ -411,35 +449,41 @@ def _gutcap_leaf(g: Graph, atom: Sequence[int]) -> Join:
     return Join(tuple(out))
 
 
+def _gutcap_global(g: Graph) -> None:
+    """The leaf test passes K23, a join of two stable sets, and never sees
+    a cap whole, since a cap has a clique cutset."""
+    search = _twin_quotient_search(g)
+    cert = search(find_small_obstruction, K23)
+    if cert is not None:
+        raise NotInClassError(f"contains {K23}", certificate=cert)
+    cert = search(find_cap)
+    if cert is not None:
+        raise NotInClassError("contains a cap", certificate=cert)
+
+
 def recognize_gutcap(g: Graph) -> Recognition:
-    cert = find_small_obstruction(g, K23)
-    if cert is not None:
-        return Recognition(False, certificate=cert, reason=f"contains {K23}")
-    cert = find_cap(g)
-    if cert is not None:
-        return Recognition(False, certificate=cert, reason="contains a cap")
-    return _recognize_leaves(g, _gutcap_leaf)
+    return _recognize_leaves(g, _gutcap_leaf, _gutcap_global)
 
 
 def mwc_gutcap(wg: WeightedGraph) -> tuple:
-    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf)
+    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf, _gutcap_global)
     return solve_mwc(wg, tree, [j.mwc for j in joins])
 
 
 def mwss_gutcap(wg: WeightedGraph) -> tuple:
-    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf)
+    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf, _gutcap_global)
     return solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
 def color_gutcap(g: Graph) -> Coloring:
-    tree, joins = _leaf_solvers(g, _gutcap_leaf)
+    tree, joins = _leaf_solvers(g, _gutcap_leaf, _gutcap_global)
     return solve_coloring(g, tree, [j.color for j in joins])
 
 
 def mwc_mwss_gutcap(wg: WeightedGraph) -> tuple:
     """((clique weight, clique), (stable weight, stable set)), over one
     decomposition tree and one classification of its leaves."""
-    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf)
+    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf, _gutcap_global)
     return solve_mwc(wg, tree, [j.mwc for j in joins]), solve_mwss(wg, tree, [j.mwss for j in joins])
 
 

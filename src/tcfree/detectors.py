@@ -7,6 +7,11 @@ canonicalize rims, so outputs are deterministic.
 
 No search scans vertex subsets: find_cap floods one mask per triangle, and
 K23, C6BAR and W54 copies grow from anchor vertices by mask intersections.
+
+Long holes, caps, K23, C6BAR and W54 have no two true twins, and true twins
+stay twins in every induced subgraph, so a graph contains one exactly when
+its true-twin quotient does. The class recognizers therefore run these
+searches on the quotient (classes._twin_quotient_search).
 """
 
 from __future__ import annotations
@@ -318,6 +323,15 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _second_neighbourhood(g: Graph, v: int) -> int:
+    """Mask of the vertices with a common neighbour with v (v included
+    when it has a neighbour)."""
+    out = 0
+    for u in iter_bits(g.adj[v]):
+        out |= g.adj[u]
+    return out
+
+
 def _stable_triple(g: Graph, mask: int) -> Optional[tuple[int, int, int]]:
     """Lexicographically least stable triple inside mask."""
     for v1 in iter_bits(mask):
@@ -367,7 +381,8 @@ def _find_w54(g: Graph) -> Optional[Certificate]:
     adj = g.adj
     best: Optional[tuple[tuple[int, ...], int, tuple[int, ...]]] = None
     for c in range(g.n):
-        for v5 in iter_bits(g.full_mask() & ~g.closed_mask(c)):
+        # v5 needs two common neighbours with c
+        for v5 in iter_bits(_second_neighbourhood(g, c) & ~g.closed_mask(c)):
             ends = adj[c] & adj[v5]
             mids = adj[c] & ~adj[v5]
             if ends.bit_count() < 2 or mids.bit_count() < 2:
@@ -393,9 +408,9 @@ def find_small_obstruction(g: Graph, kind: str) -> Optional[Certificate]:
     by its (u1, u2, v1, v2, v3) layout, C6BAR and W54 by sorted vertex set."""
     if kind == K23:
         for u1 in range(g.n):
-            for u2 in range(u1 + 1, g.n):
-                if g.has_edge(u1, u2):
-                    continue
+            # u2 needs three common neighbours with u1
+            above = ~((1 << (u1 + 1)) - 1)
+            for u2 in iter_bits(_second_neighbourhood(g, u1) & ~g.adj[u1] & above):
                 common = g.adj[u1] & g.adj[u2]
                 if common.bit_count() < 3:
                     continue

@@ -140,36 +140,38 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
         raise ValueError("induced subgraph of the empty set is not defined")
     if vs[0] < 0 or vs[-1] >= g.n:
         raise ValueError("vertex out of range")
-    pos = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
-    for i, v in enumerate(vs):
-        for u in iter_bits(g.adj[v]):
-            j = pos.get(u)
-            if j is not None:
-                adj[i] |= 1 << j
+    # each kept vertex's bit in g to its bit in the subgraph; the loop walks
+    # only the kept neighbours
+    bit = {1 << v: 1 << i for i, v in enumerate(vs)}
+    kept = mask_of(vs)
+    adj = []
+    for v in vs:
+        row = 0
+        rest = g.adj[v] & kept
+        while rest:
+            low = rest & -rest
+            row |= bit[low]
+            rest ^= low
+        adj.append(row)
     return _graph_from_masks(len(vs), adj), vs
 
 
-def true_twin_partition(g: Graph) -> tuple[list[frozenset[int]], Graph]:
-    """Partition into true twin classes plus the quotient graph.
+def true_twin_partition(g: Graph) -> tuple[list[frozenset[int]], Graph, list[int]]:
+    """Partition into true twin classes, the quotient graph, and the least
+    vertex of each class.
 
     Two vertices are true twins when their closed neighborhoods coincide;
     classes are cliques and the quotient has an edge exactly between classes
-    that are complete to each other.
+    that are complete to each other. Classes are ordered by least vertex, so
+    the quotient is the subgraph those least vertices induce and the list of
+    them maps quotient vertices back to g.
     """
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         groups.setdefault(g.closed_mask(v), []).append(v)
     parts = sorted(groups.values(), key=lambda p: p[0])
-    reps = [p[0] for p in parts]
-    k = len(parts)
-    qadj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.has_edge(reps[i], reps[j]):
-                qadj[i] |= 1 << j
-                qadj[j] |= 1 << i
-    return [frozenset(p) for p in parts], _graph_from_masks(k, qadj)
+    quotient, reps = induced_subgraph(g, [p[0] for p in parts])
+    return [frozenset(p) for p in parts], quotient, reps
 
 
 def alpha_at_most_2(g: Graph) -> bool:

@@ -187,7 +187,7 @@ def recognize_hyperhole(g: Graph) -> Optional[list[tuple[int, ...]]]:
     """Parts of g in cyclic order when g is a hyperhole (an expansion of a
     hole by nonempty cliques), else None. The true-twin classes of a
     hyperhole are exactly its parts, so the quotient must be a hole."""
-    classes, quotient = true_twin_partition(g)
+    classes, quotient, _ = true_twin_partition(g)
     order = _single_cycle_order(quotient)
     if order is None:
         return None
@@ -214,7 +214,7 @@ def recognize_hyperantihole(g: Graph) -> Optional[list[tuple[int, ...]]]:
                 return [(va[0],), (vb[0],), tuple(va[1:]), tuple(vb[1:])]
         return None
 
-    classes, quotient = true_twin_partition(g)
+    classes, quotient, _ = true_twin_partition(g)
     order = _single_cycle_order(complement(quotient))
     if order is None or len(order) < 5:
         return None

@@ -37,14 +37,20 @@ from tcfree.classes import (
 )
 from tcfree.decomposition import glue
 from tcfree.detectors import (
+    C6BAR,
     CAP,
+    K23,
+    LONG_HOLE,
     PRISM,
     PROPER_WHEEL,
     PYRAMID,
     THETA,
     TWIN_WHEEL,
     UNIVERSAL_WHEEL,
+    W54,
     find_cap,
+    find_long_hole,
+    find_small_obstruction,
 )
 from tcfree.generators import (
     complete_graph,
@@ -132,6 +138,50 @@ def test_recognize_gut_has_no_subset_scan():
     t0 = time.perf_counter()
     assert recognize_gut(g).member
     assert time.perf_counter() - t0 < 10.0
+
+
+def _twin_expansion(rng: random.Random, g: Graph) -> Graph:
+    """g with each vertex blown up into a clique of 1-3 true twins, the
+    labels shuffled."""
+    sizes = [rng.randint(1, 3) for _ in range(g.n)]
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    it = iter(labels)
+    copies = [[next(it) for _ in range(size)] for size in sizes]
+    edges = [(a, b) for c in copies for i, a in enumerate(c) for b in c[i + 1 :]]
+    edges += [(a, b) for u, v in g.edges() for a in copies[u] for b in copies[v]]
+    return Graph(len(labels), edges)
+
+
+def test_twin_quotient_searches_match_direct_searches():
+    rng = random.Random(2017)
+    found = {K23: 0, C6BAR: 0, W54: 0, CAP: 0, LONG_HOLE: 0}
+    for trial in range(1000):
+        # every other base graph is dense enough for C6BAR to turn up
+        if trial % 2:
+            base = rand_graph(rng, rng.randrange(8, 12), rng.uniform(0.55, 0.7))
+        else:
+            base = rand_graph(rng, rng.randrange(4, 10), rng.uniform(0.2, 0.9))
+        g = _twin_expansion(rng, base)
+        search = classes._twin_quotient_search(g)
+        for kind, got, want in (
+            (K23, search(find_small_obstruction, K23), find_small_obstruction(g, K23)),
+            (C6BAR, search(find_small_obstruction, C6BAR), find_small_obstruction(g, C6BAR)),
+            (W54, search(find_small_obstruction, W54), find_small_obstruction(g, W54)),
+            (CAP, search(find_cap), find_cap(g)),
+            (LONG_HOLE, search(find_long_hole), find_long_hole(g)),
+        ):
+            assert got == want, (kind, trial, list(g.edges()))
+            found[kind] += got is not None
+    assert all(count >= 100 for count in found.values()), found
+
+
+def test_gut_and_gutcap_recognize_a_large_clique_quickly():
+    g = complete_graph(300)
+    for recognize in (recognize_gut, recognize_gutcap):
+        t0 = time.perf_counter()
+        assert recognize(g).member
+        assert time.perf_counter() - t0 < 1.0, recognize.__name__
 
 
 def test_recognize_bu_h_labels():

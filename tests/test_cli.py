@@ -140,6 +140,25 @@ def test_solve_nonmember_reports_reason(tmp_path, capsys):
     assert json.loads(out)["member"] is False
 
 
+@pytest.mark.parametrize("problem", ["mwc", "mwss", "color"])
+def test_solve_gutcap_runs_the_global_tests(tmp_path, capsys, problem):
+    # C5 plus a cap vertex, and K23: the leaf tests pass both
+    cap = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 1)])
+    for name, g in (("cap", cap), ("k23", K23)):
+        path = write_graph(tmp_path, g, name=f"{name}.txt")
+        code, out, _ = run(capsys, ["recognize", "--class", "gutcap", path])
+        assert code == 1
+        recognized = json.loads(out)
+        code, out, _ = run(capsys, ["solve", "--class", "gutcap", "--problem", problem, path])
+        assert code == 1
+        data = json.loads(out)
+        assert data["member"] is False
+        assert data["solution"] is None and data["value"] is None
+        assert data["certificate"] is not None
+        assert data["certificate"] == recognized["certificate"]
+        assert data["reason"] == recognized["reason"]
+
+
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["recognize", "--class", "gu", str(tmp_path / "missing.txt")])
     assert code == 2 and "cannot read" in err

@@ -200,6 +200,17 @@ def test_find_small_obstruction_matches_brute(kind, target):
 # first-in-order contracts.
 
 
+def _scan_k23(g: Graph):
+    for u1, u2 in combinations(range(g.n), 2):
+        if g.has_edge(u1, u2):
+            continue
+        common = [v for v in range(g.n) if g.has_edge(u1, v) and g.has_edge(u2, v)]
+        for triple in combinations(common, 3):
+            if not any(g.has_edge(a, b) for a, b in combinations(triple, 2)):
+                return Certificate(K23, (u1, u2) + triple)
+    return None
+
+
 def _scan_c6bar(g: Graph):
     for subset in combinations(range(g.n), 6):
         mask = mask_of(subset)
@@ -261,10 +272,11 @@ def _scan_cap(g: Graph):
 
 def test_anchored_searches_match_reference_scans():
     rng = random.Random(20171)
-    found = {C6BAR: 0, W54: 0, CAP: 0}
+    found = {K23: 0, C6BAR: 0, W54: 0, CAP: 0}
     for trial in range(2000):
         g = rand_graph(rng, rng.randrange(4, 12), rng.uniform(0.2, 0.9))
         for kind, got, want in (
+            (K23, find_small_obstruction(g, K23), _scan_k23(g)),
             (C6BAR, find_small_obstruction(g, C6BAR), _scan_c6bar(g)),
             (W54, find_small_obstruction(g, W54), _scan_w54(g)),
             (CAP, find_cap(g), _scan_cap(g)),

@@ -102,14 +102,15 @@ def test_masked_components_cover_mask(g):
 
 @given(graphs(min_n=2))
 def test_true_twin_partition(g):
-    classes, quotient = true_twin_partition(g)
+    classes, quotient, reps = true_twin_partition(g)
     assert sorted(v for c in classes for v in c) == list(range(g.n))
     assert quotient.n == len(classes)
     for cls in classes:
         for u in cls:
             for v in cls:
                 assert g.closed_mask(u) | (1 << v) == g.closed_mask(v) | (1 << u)
-    reps = [min(c) for c in classes]
+    assert reps == sorted(min(c) for c in classes) == [min(c) for c in classes]
+    assert len({g.closed_mask(r) for r in reps}) == len(reps)
     for i, j in combinations(range(len(classes)), 2):
         assert quotient.has_edge(i, j) == g.has_edge(reps[i], reps[j])
 
