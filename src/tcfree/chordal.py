@@ -112,7 +112,8 @@ def chordal_color(g: Graph, mask: Optional[int] = None) -> Coloring:
         while used >> (c - 1) & 1:
             c += 1
         colors[v] = c
-    count = max(colors, default=0)
+    # the largest color of the mask's vertices, not a scan of all n
+    count = max(map(colors.__getitem__, order), default=0)
     return Coloring(tuple(colors), count)
 
 

@@ -38,7 +38,7 @@ from .classes import (
     recognize_gut,
     recognize_gutcap,
 )
-from .decomposition import build_tree
+from .decomposition import DecompositionTree, build_tree
 from .generators import (
     gen_chordal,
     gen_class_member,
@@ -101,7 +101,7 @@ def _read_weighted(path: str) -> WeightedGraph:
         raise CliError(str(exc)) from None
 
 
-_VERTEX_LIST_KEYS = {"vertices", "paths", "cutset", "parts", "leaf", "anticomponent"}
+_VERTEX_LIST_KEYS = {"vertices", "paths", "parts", "leaf", "anticomponent"}
 _VERTEX_INT_KEYS = {"center"}
 
 
@@ -181,6 +181,34 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(_json_text(payload) + "\n")
 
 
+def _node_list(texts) -> str:
+    """A list nested in a tree node, as json.dumps(indent=2) writes it."""
+    body = ",\n        ".join(texts)
+    return f"[\n        {body}\n      ]" if body else "[]"
+
+
+def _write_tree(tree: DecompositionTree, n: int) -> None:
+    """Write the tree as json.dumps(sort_keys=True, indent=2) wrote its
+    {"nodes": [...], "root": ...} dict, with 1-based vertex labels. Each
+    label is made once per request and each node's lists are joined in C;
+    every node is written as soon as it is built, so the Theta(n^2) text of
+    the chain is never held whole."""
+    label = [str(v + 1) for v in range(n)].__getitem__
+    write = sys.stdout.write
+    write('{\n  "nodes": [')
+    sep = "\n"
+    for node in tree.nodes:
+        cutset = "null" if node.cutset is None else _node_list(map(label, node.cutset))
+        write(
+            f'{sep}    {{\n      "children": {_node_list(map(str, node.children))},'
+            f'\n      "cutset": {cutset},\n      "id": {node.id},'
+            f'\n      "kind": "{node.kind}",'
+            f'\n      "vertices": {_node_list(map(label, node.vertices))}\n    }}'
+        )
+        sep = ",\n"
+    write(f'\n  ],\n  "root": {tree.root}\n}}\n')
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -251,8 +279,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     wg = _read_weighted(args.graph)
-    tree = build_tree(wg.graph)
-    _emit(_to_external(tree.to_json_dict()))
+    _write_tree(build_tree(wg.graph), wg.graph.n)
     return 0
 
 

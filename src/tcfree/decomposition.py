@@ -70,6 +70,14 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
     vertices of level j that touch the flood are raised, and then level j
     joins the flood. Each vertex enters the flood at most once, so a pick
     costs O(n) mask operations and a pass O(n^2).
+
+    The walk stops as soon as every unnumbered vertex is in a walked level
+    or raised: nothing is left to raise, so the flood through the last
+    level walked is skipped. On a path numbered from one end, every pick
+    then stops after level 0. The worst case is unchanged: on a long cycle
+    the far end of the path left over sits unraised at the pick's weight
+    until the flood reaches it, so every pick still floods every unnumbered
+    vertex, Theta(n^2) mask operations per pass.
     """
     adj = g.adj
     fills = dict.fromkeys(iter_bits(mask), 0)
@@ -107,6 +115,8 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
                 level[j + 1] |= raised
                 raised_all |= raised
             walked |= members
+            if not unnumbered & ~walked & ~raised_all:
+                break
             frontier = raised
             while frontier:
                 flood |= frontier
@@ -135,15 +145,6 @@ class TreeNode:
     cutset: Optional[tuple[int, ...]]
     children: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "vertices": list(self.vertices),
-            "cutset": None if self.cutset is None else list(self.cutset),
-            "children": list(self.children),
-        }
-
 
 @dataclass(frozen=True)
 class DecompositionTree:
@@ -155,9 +156,6 @@ class DecompositionTree:
 
     def node(self, node_id: int) -> TreeNode:
         return self.nodes[node_id]
-
-    def to_json_dict(self) -> dict:
-        return {"root": self.root, "nodes": [nd.to_json_dict() for nd in self.nodes]}
 
 
 def build_tree(g: Graph) -> DecompositionTree:
@@ -318,18 +316,24 @@ def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaves: Sequence[Leaf
             marginal = with_cv - alpha_a
             gain[cv] = (marginal, wit_cv)
             new_weights[cv] = marginal
-        sides.append((c, alpha_a, wit_a, gain))
+        sides.append((alpha_a, wit_a, gain))
         wg = WeightedGraph(g, tuple(new_weights))
-    value, chosen = leaves[last.id](wg, mask=mask_of(last.vertices))
-    for c, alpha_a, wit_a, gain in reversed(sides):
-        chosen = frozenset(v for v in chosen if not (c >> v & 1) or gain[v][0] > 0)
-        tail = [v for v in chosen if c >> v & 1]
-        if tail:
-            side = gain[tail[0]][1]
-        else:
-            side = wit_a
-        value, chosen = alpha_a + value, chosen | side
-    return value, chosen
+    value, found = leaves[last.id](wg, mask=mask_of(last.vertices))
+    chosen = set(found)
+    for alpha_a, wit_a, gain in reversed(sides):
+        # a stable set meets the cutset clique in at most one vertex, so the
+        # walk stops at the first cutset vertex chosen
+        side = wit_a
+        for cv, (marginal, wit_cv) in gain.items():
+            if cv in chosen:
+                if marginal > 0:
+                    side = wit_cv
+                else:
+                    chosen.remove(cv)
+                break
+        value += alpha_a
+        chosen |= side
+    return value, frozenset(chosen)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from tcfree.generators import (
     gen_chordal,
     gen_class_member,
     join_graphs,
+    path_graph,
 )
 from tcfree.graphs import Graph, WeightedGraph
 from tcfree.io import format_graph, parse_graph
@@ -362,13 +364,50 @@ def _recognize_payload(cls, rec):
     return payload
 
 
+def _tree_payload(tree):
+    """The dict decompose has always written: each node's fields, vertex
+    labels shifted to the 1-based numbering, node ids as they are."""
+    nodes = [
+        {
+            "id": nd.id,
+            "kind": nd.kind,
+            "vertices": [v + 1 for v in nd.vertices],
+            "cutset": None if nd.cutset is None else [v + 1 for v in nd.cutset],
+            "children": list(nd.children),
+        }
+        for nd in tree.nodes
+    ]
+    return {"root": tree.root, "nodes": nodes}
+
+
+def test_decompose_writes_the_json_dumps_text(tmp_path, capsys):
+    graphs = [
+        Graph(1, []),
+        complete_graph(6),
+        Graph(5, [(0, 1), (1, 2), (3, 4)]),
+        gen_chordal(11, 300, 0.6),
+        gen_class_member(1, "gu", pieces=3, max_n=30),
+        gen_class_member(2, "gu", pieces=3, max_n=30),
+        gen_class_member(1, "gt", pieces=3, max_n=30),
+        gen_class_member(2, "gt", pieces=3, max_n=30),
+        path_graph(200),
+    ]
+    texts = []
+    for g in graphs:
+        tree = build_tree(g)
+        code, out, err = run(capsys, ["decompose", write_graph(tmp_path, g)])
+        assert code == 0 and err == ""
+        assert out == json.dumps(_tree_payload(tree), sort_keys=True, indent=2) + "\n"
+        texts.append(out)
+    # the shapes the writer spells out by hand: a leaf's null cutset and
+    # empty children, K_n's lone leaf, and a disconnected graph's empty cutset
+    assert '"cutset": null' in texts[0] and '"children": []' in texts[0]
+    assert len(build_tree(graphs[1]).nodes) == 1
+    assert '"cutset": []' in texts[2]
+
+
 def test_emit_matches_json_dumps(capsys):
     payloads = []
-    for seed, n, density in ((1, 1, 0.5), (2, 7, 0.1), (3, 40, 0.5), (11, 300, 0.6)):
-        payloads.append(cli._to_external(build_tree(gen_chordal(seed, n, density)).to_json_dict()))
-    for seed, cls in ((1, "gu"), (2, "gu"), (1, "gt"), (2, "gt")):
-        g = gen_class_member(seed, cls, pieces=3, max_n=30)
-        payloads.append(cli._to_external(build_tree(g).to_json_dict()))
     theta = Certificate("Theta", (0, 1, 2, 3, 4), center=4, paths=((0, 1, 3), (0, 3), (0, 2, 4, 3)))
     payloads.append(_recognize_payload("gut", Recognition(False, theta, reason="theta found")))
     payloads.append(
@@ -398,3 +437,26 @@ def test_emit_matches_json_dumps(capsys):
         assert capsys.readouterr().out == _json_dumps_text(payload)
     with pytest.raises(TypeError):
         cli._emit({"vertices": {1, 2}})
+
+
+def test_long_path_requests_stay_fast(tmp_path, monkeypatch):
+    # a 2000-vertex path has a 3997-node chain whose text is Theta(n^2), and
+    # a sparse MCS-M pass that must not flood every level after each pick;
+    # each bound is at least 5x the time these requests take
+    path = write_graph(tmp_path, path_graph(2000))
+    out_path = tmp_path / "out.json"
+    requests = (
+        (["decompose", path], 1.5, lambda data: len(data["nodes"]) == 3997),
+        (["recognize", "--class", "gut", path], 2.0, lambda data: data["member"]),
+        (["solve", "--class", "gu", "--problem", "mwss", path], 2.0, lambda data: data["value"] == 1000),
+    )
+    for argv, bound, check in requests:
+        with open(out_path, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            monkeypatch.undo()
+        assert code == 0, argv
+        assert elapsed < bound, (argv, elapsed)
+        assert check(json.loads(out_path.read_text())), argv

@@ -30,9 +30,10 @@ from tcfree.decomposition import (
     solve_mwc,
     solve_mwss,
 )
-from tcfree.generators import complete_graph, cycle_graph
+from tcfree.generators import complete_graph, complete_multipartite, cycle_graph, path_graph
 from tcfree.graphs import (
     Coloring,
+    Graph,
     WeightedGraph,
     bits_list,
     induced_subgraph,
@@ -95,9 +96,23 @@ def _ref_mcsm(g, mask):
     return list(reversed(selection)), fills, generators
 
 
+def _sparse_graphs(rng):
+    """Paths (numbered in order and shuffled), stars and long cycles: the
+    graphs on which _mcsm's level walk stops early, or cannot."""
+    for n in (2, 3, 9, 40, 97):
+        yield path_graph(n)
+        perm = rng.sample(range(n), n)
+        yield Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+        yield complete_multipartite([1, n])
+        yield complete_multipartite([n, 1])
+        if n >= 3:
+            yield cycle_graph(n)
+
+
 def test_mcsm_matches_the_minimax_reference():
     rng = random.Random(2004)
-    for g, _ in differential_graphs():
+    graphs = [g for g, _ in differential_graphs()] + list(_sparse_graphs(random.Random(97)))
+    for g in graphs:
         for mask in (g.full_mask(), rng.randrange(1 << g.n), rng.randrange(1 << g.n)):
             assert _mcsm(g, mask) == _ref_mcsm(g, mask), (g.adj, mask)
 
@@ -188,7 +203,7 @@ def test_build_tree_leaves_are_the_reference_maximal_leaves():
             assert a and b and is_clique_mask(g, c)
             assert all(g.adj[v] & b == 0 for v in iter_bits(a))
         if chordal:
-            assert tree.to_json_dict() == ref.to_json_dict(), g.adj
+            assert (tree.root, tree.nodes) == (ref.root, ref.nodes), g.adj
 
 
 @given(graphs(max_n=9))
@@ -282,11 +297,23 @@ def _exact_mwc_leaves(tree):
     return [lambda wg, atom=nd.vertices: _brute_on(wg, atom, brute_mwc_set) for nd in tree.leaves()]
 
 
-def _exact_mwss_leaves(tree):
+def _padded_mwss_set(wg):
+    """A maximum weight stable set that also takes every zero-weight vertex
+    it can: the leaf-solver contract allows it, and solve_mwss must then
+    drop cutset vertices whose marginal value is zero."""
+    g, w = wg.graph, wg.weights
+    best = max(
+        (bits_list(m) for m in range(1 << g.n) if is_stable_set(g, bits_list(m))),
+        key=lambda vs: (sum(w[v] for v in vs), len(vs)),
+    )
+    return sum(w[v] for v in best), frozenset(best)
+
+
+def _exact_mwss_leaves(tree, brute=brute_mwss_set):
     def leaf(atom):
         def solve(wg, mask):
             assert mask & ~atom == 0
-            return _brute_on(wg, bits_list(mask), brute_mwss_set)
+            return _brute_on(wg, bits_list(mask), brute)
 
         return solve
 
@@ -320,10 +347,11 @@ def test_solve_mwc_with_exact_leaves(wg):
 @given(weighted_graphs(max_n=8))
 def test_solve_mwss_with_exact_leaves(wg):
     tree = build_tree(wg.graph)
-    value, chosen = solve_mwss(wg, tree, _exact_mwss_leaves(tree))
-    assert is_stable_set(wg.graph, chosen)
-    assert sum(wg.weights[v] for v in chosen) == value
-    assert value == brute_alpha_w(wg)
+    for brute in (brute_mwss_set, _padded_mwss_set):
+        value, chosen = solve_mwss(wg, tree, _exact_mwss_leaves(tree, brute))
+        assert is_stable_set(wg.graph, chosen)
+        assert sum(wg.weights[v] for v in chosen) == value
+        assert value == brute_alpha_w(wg)
 
 
 @given(graphs(max_n=8))
