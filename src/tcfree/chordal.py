@@ -95,26 +95,31 @@ def _require_order(g: Graph, mask: int) -> tuple[int, ...]:
     return order
 
 
-def chordal_color(g: Graph, mask: Optional[int] = None) -> Coloring:
-    """Optimal coloring of the subgraph induced by mask, all of g when
-    omitted; vertices outside mask get color 0. Greedy in reverse
-    elimination order uses exactly as many colors as the largest clique."""
-    if mask is None:
-        mask = g.full_mask()
+def _chordal_colors(g: Graph, mask: int) -> tuple[dict[int, int], int]:
+    """An optimal coloring of the subgraph induced by mask, as the colors
+    of mask's vertices only and their count. Greedy in reverse elimination
+    order uses exactly as many colors as the largest clique."""
     order = _require_order(g, mask)
-    colors = [0] * g.n
+    colors: dict[int, int] = {}
+    done = 0
     for v in reversed(order):
         used = 0
-        for u in iter_bits(g.adj[v] & mask):
-            if colors[u]:
-                used |= 1 << (colors[u] - 1)
-        c = 1
-        while used >> (c - 1) & 1:
-            c += 1
-        colors[v] = c
-    # the largest color of the mask's vertices, not a scan of all n
-    count = max(map(colors.__getitem__, order), default=0)
-    return Coloring(tuple(colors), count)
+        for u in iter_bits(g.adj[v] & done):
+            used |= 1 << (colors[u] - 1)
+        # the least color not used: the lowest zero bit of used
+        colors[v] = (~used & (used + 1)).bit_length()
+        done |= 1 << v
+    return colors, max(colors.values(), default=0)
+
+
+def chordal_color(g: Graph, mask: Optional[int] = None) -> Coloring:
+    """Optimal coloring of the subgraph induced by mask, all of g when
+    omitted; vertices outside mask get color 0."""
+    colors, count = _chordal_colors(g, g.full_mask() if mask is None else mask)
+    out = [0] * g.n
+    for v, c in colors.items():
+        out[v] = c
+    return Coloring(tuple(out), count)
 
 
 def chordal_mwc(wg: WeightedGraph, mask: Optional[int] = None) -> tuple:

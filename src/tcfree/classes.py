@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .chordal import (
-    NotChordalError,
-    chordal_color,
+    _chordal_colors,
     chordal_mwc,
     chordal_mwss,
     is_chordal,
@@ -69,7 +69,7 @@ from .graphs import (
 )
 from .rings import (
     _single_cycle_order,
-    hyperhole_color,
+    _hyperhole_colors,
     hyperhole_mwc,
     hyperhole_mwss,
     recognize_hyperhole,
@@ -142,13 +142,14 @@ class Recognition:
         return out
 
 
-# Each class has one leaf function, leaf(g, atom): it induces the atom once,
-# runs the class's basic-family test, raises NotInClassError naming the
-# failing leaf on failure, and otherwise returns the atom's leaf solvers in
-# g's labels. The recognizer and every solver of the class call it once per
-# atom. gut and gutcap also exclude graphs that their leaf tests do not
-# see; their global test raises NotInClassError with a certificate before
-# the decomposition is built.
+# Each class has one leaf function, leaf(g, atom): it runs the class's
+# basic-family test on the atom, raises NotInClassError naming the failing
+# leaf on failure, and otherwise returns the atom's leaf solvers in g's
+# labels: a Join of its anticomponents for gu and gutcap, and for gt a
+# GtAtom, the atom's basic family with its evidence. The recognizer and
+# every solver of the class call it once per atom. gut and gutcap also
+# exclude graphs that their leaf tests do not see; their global test raises
+# NotInClassError with a certificate before the decomposition is built.
 
 
 def _recognize_leaves(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> Recognition:
@@ -200,7 +201,7 @@ def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:
 
 
 def _chordal_piece(mask: int) -> JoinPiece:
-    return JoinPiece(mask, partial(chordal_mwc, mask=mask), chordal_mwss, partial(chordal_color, mask=mask))
+    return JoinPiece(mask, partial(chordal_mwc, mask=mask), chordal_mwss, partial(_chordal_colors, mask=mask))
 
 
 def _hyperhole_piece(mask: int, parts: list[tuple[int, ...]]) -> JoinPiece:
@@ -208,7 +209,7 @@ def _hyperhole_piece(mask: int, parts: list[tuple[int, ...]]) -> JoinPiece:
         mask,
         partial(hyperhole_mwc, parts=parts),
         partial(hyperhole_mwss, parts=parts),
-        partial(hyperhole_color, parts=parts),
+        lambda g: _hyperhole_colors(parts),
     )
 
 
@@ -350,47 +351,106 @@ def mwc_mwss_gu(wg: WeightedGraph) -> tuple:
 # gt
 
 
-def _bt_leaf_ok(sub: Graph) -> bool:
-    """A gt leaf contracted by true twins must be a single vertex, a ring,
-    or a 7-antihole; complete graphs contract to a vertex and
-    7-hyperantiholes to the 7-antihole."""
-    _, quotient, _ = true_twin_partition(sub)
-    if quotient.n == 1:
-        return True
-    if recognize_ring(quotient) is not None:
-        return True
-    if quotient.n == 7:
-        co_order = _single_cycle_order(complement(quotient))
-        if co_order is not None:
-            return True
-    return False
+CLIQUE = "clique"
+RING = "ring"
+ANTIHOLE = "antihole"
 
 
-def _bt_mwss_leaf(wg: WeightedGraph, mask: int) -> tuple:
-    """Maximum weight stable set of the subgraph that mask induces in a gt
-    leaf. The leaf keeps every vertex non-neighborhood chordal (rings lose
-    a whole part, complete graphs and 7-hyperantiholes all but a clique or
-    two). A nonempty optimum holds a vertex u of positive weight and misses
-    N(u), so the best chordal answer over those u is the optimum."""
-    g, w = wg.graph, wg.weights
+def _heaviest(w: Sequence, mask: int) -> tuple:
+    """The heaviest vertex of positive weight in mask, the least on ties,
+    as a (weight, vertices) answer; weight 0 and no vertex when there is
+    none."""
     best = 0
     best_set: frozenset[int] = frozenset()
-    for u in iter_bits(mask):
-        if w[u] > 0:
-            value, chosen = chordal_mwss(wg, mask=mask & ~g.adj[u])
-            if value > best:
-                best, best_set = value, chosen
+    for v in iter_bits(mask):
+        if w[v] > best:
+            best, best_set = w[v], frozenset((v,))
     return best, best_set
 
 
-def _gt_leaf(g: Graph, atom: Sequence[int]) -> Callable:
-    sub, verts = induced_subgraph(g, atom)
-    if not _bt_leaf_ok(sub):
-        raise NotInClassError(
-            "leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole",
-            leaf=frozenset(verts),
-        )
-    return _bt_mwss_leaf
+def _positive(w: Sequence, mask: int) -> tuple:
+    """The vertices of positive weight in mask and their total weight."""
+    chosen = [v for v in iter_bits(mask) if w[v] > 0]
+    return sum(w[v] for v in chosen), frozenset(chosen)
+
+
+@dataclass(frozen=True)
+class GtAtom:
+    """A gt atom's basic family and its evidence, with the leaf solvers
+    built from it. The parts are vertex masks of the whole graph:
+
+      clique    one part, the atom
+      ring      the parts of a good partition, in cyclic order
+      antihole  the seven parts of a 7-hyperantihole in antihole order,
+                so consecutive parts are anticomplete and the others
+                complete
+    """
+
+    family: str
+    parts: tuple[int, ...]
+
+    def mwc(self, wg: WeightedGraph) -> tuple:
+        w, parts = wg.weights, self.parts
+        if self.family == CLIQUE:
+            return _positive(w, parts[0])
+        if self.family == RING:
+            # parts at cyclic distance two or more are anticomplete, so with
+            # k >= 4 a clique lies in two consecutive parts, whose union is
+            # chordal: nested neighborhoods leave no C4
+            k = len(parts)
+            answers = [chordal_mwc(wg, mask=parts[i] | parts[(i + 1) % k]) for i in range(k)]
+        else:
+            # the maximal cliques: the 7 triples of pairwise nonconsecutive
+            # parts
+            answers = [_positive(w, parts[i] | parts[(i + 2) % 7] | parts[(i + 4) % 7]) for i in range(7)]
+        return max(answers, key=itemgetter(0))
+
+    def mwss(self, wg: WeightedGraph, mask: int) -> tuple:
+        g, w, parts = wg.graph, wg.weights, self.parts
+        if self.family == CLIQUE:
+            return _heaviest(w, mask)
+        if self.family == ANTIHOLE:
+            # a stable set holds at most one vertex from each of two
+            # consecutive parts
+            tops = [_heaviest(w, p & mask) for p in parts]
+            pairs = [(tops[i][0] + tops[i - 1][0], tops[i][1] | tops[i - 1][1]) for i in range(7)]
+            return max(pairs, key=itemgetter(0))
+        # a stable set meets a part at most once, and the ring minus any
+        # whole part is chordal, for every hole of a ring passes through all
+        # its parts; so the optimum either misses the part with the fewest
+        # vertices in mask, or holds one vertex u of it and misses N[u]
+        least = min(parts, key=lambda p: (p & mask).bit_count())
+        best, best_set = chordal_mwss(wg, mask=mask & ~least)
+        for u in iter_bits(least & mask):
+            if w[u] > 0:
+                value, chosen = chordal_mwss(wg, mask=mask & ~g.closed_mask(u))
+                if value + w[u] > best:
+                    best, best_set = value + w[u], chosen | {u}
+        return best, best_set
+
+
+def _gt_leaf(g: Graph, atom: Sequence[int]) -> GtAtom:
+    """The atom's basic family and evidence. Contracted by true twins, a gt
+    atom is a single vertex (the atom is a clique), a ring, or the
+    7-antihole (the atom is a 7-hyperantihole). The twin classes come from
+    closed neighborhoods within the atom, and the quotient's parts are
+    lifted through them; the classes are disjoint masks, so the sum of a
+    part's classes is their union."""
+    classes, quotient, _ = true_twin_partition(g, mask_of(atom))
+    twins = [mask_of(c) for c in classes]
+    if quotient.n == 1:
+        return GtAtom(CLIQUE, (twins[0],))
+    ring = recognize_ring(quotient)
+    if ring is not None:
+        return GtAtom(RING, tuple(sum(twins[i] for i in part) for part in ring.parts))
+    if quotient.n == 7:
+        order = _single_cycle_order(complement(quotient))
+        if order is not None:
+            return GtAtom(ANTIHOLE, tuple(twins[i] for i in order))
+    raise NotInClassError(
+        "leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole",
+        leaf=frozenset(atom),
+    )
 
 
 def recognize_gt(g: Graph) -> Recognition:
@@ -398,28 +458,17 @@ def recognize_gt(g: Graph) -> Recognition:
 
 
 def mwc_gt(wg: WeightedGraph) -> tuple:
-    """Maximum weight clique for gt, without any decomposition: the class
-    excludes universal wheels, which happens exactly when every closed
-    neighborhood is chordal, and every clique lives in the closed
-    neighborhood of each of its vertices."""
-    g = wg.graph
-    best = 0
-    best_set: frozenset[int] = frozenset()
-    for u in range(g.n):
-        try:
-            value, chosen = chordal_mwc(wg, mask=g.closed_mask(u))
-        except NotChordalError:
-            raise NotInClassError(
-                "a closed neighborhood contains a hole: universal wheel present"
-            ) from None
-        if value > best:
-            best, best_set = value, chosen
-    return best, best_set
+    """Maximum weight clique for gt: the best answer over the atoms, each
+    atom solved from its basic family (see GtAtom). Every atom gets the
+    recognizer's leaf test, so this rejects exactly what recognize_gt
+    rejects."""
+    tree, atoms = _leaf_solvers(wg.graph, _gt_leaf)
+    return solve_mwc(wg, tree, [atom.mwc for atom in atoms])
 
 
 def mwss_gt(wg: WeightedGraph) -> tuple:
-    tree, leaves = _leaf_solvers(wg.graph, _gt_leaf)
-    return solve_mwss(wg, tree, leaves)
+    tree, atoms = _leaf_solvers(wg.graph, _gt_leaf)
+    return solve_mwss(wg, tree, [atom.mwss for atom in atoms])
 
 
 # ---------------------------------------------------------------------------

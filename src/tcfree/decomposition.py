@@ -12,10 +12,10 @@ three solvers walk it.
 
 The solvers take one prebuilt leaf solver per leaf, leaves[i] for leaf node
 i, and every leaf solver works in the labels of the whole graph: a clique
-solver answers on its whole atom, a colorer colors its atom and gives every
-other vertex color 0, and a stable-set solver answers on the subset of its
-atom named by its mask argument. Leaves that are joins of simpler pieces
-get their leaf solvers from Join.
+solver answers on its whole atom, a colorer colors the vertices of its atom
+only, and a stable-set solver answers on the subset of its atom named by
+its mask argument. Leaves that are joins of simpler pieces get their leaf
+solvers from Join.
 
 The cutsets come from one minimal triangulation, maximum cardinality search
 with fill edges (MCS-M+, each pick's raises decided by one flood over the
@@ -44,7 +44,10 @@ from .graphs import (
 )
 
 LeafMwcSolver = Callable[[WeightedGraph], tuple]
-LeafColorer = Callable[[Graph], Coloring]
+LeafColorer = Callable[[Graph], tuple[dict[int, int], int]]
+"""Called as leaf(g); returns (colors, count): an optimal coloring of the
+leaf's atom, as a dict from each vertex of the atom to its color, 1 to
+count. Vertices outside the atom are left out, so a leaf costs its size."""
 LeafMwssSolver = Callable[..., tuple]
 """Called as leaf(wg, mask=m) with m a subset of the leaf's atom, possibly
 empty; returns (weight, vertices) of a maximum weight stable set of the
@@ -262,14 +265,10 @@ def solve_coloring(g: Graph, tree: DecompositionTree, leaves: Sequence[LeafColor
     agree with the side below on the cutset clique, so the union stays
     proper and the color count is the larger of the two."""
 
-    def color_leaf(node: TreeNode) -> tuple[dict[int, int], int]:
-        col = leaves[node.id](g)
-        return {v: col.colors[v] for v in node.vertices}, col.count
-
     internal, last = _chain(tree)
-    right, total = color_leaf(last)
+    right, total = leaves[last.id](g)
     for node in reversed(internal):
-        left, n_left = color_leaf(tree.node(node.children[0]))
+        left, n_left = leaves[node.children[0]](g)
         total = max(n_left, total)
         perm: dict[int, int] = {}
         taken = set()
@@ -376,12 +375,12 @@ class Join:
                     best, best_set = value, part
         return best, best_set
 
-    def color(self, g: Graph) -> Coloring:
-        colors = [0] * g.n
+    def color(self, g: Graph) -> tuple[dict[int, int], int]:
+        colors: dict[int, int] = {}
         offset = 0
         for piece in self.pieces:
-            col = piece.color(g)
-            for v in iter_bits(piece.mask):
-                colors[v] = offset + col.colors[v]
-            offset += col.count
-        return Coloring(tuple(colors), offset)
+            part, count = piece.color(g)
+            for v, c in part.items():
+                colors[v] = offset + c
+            offset += count
+        return colors, offset

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, complement, iter_bits, mask_of, shortest_path
+from .graphs import Graph, iter_bits, mask_of, shortest_path
 
 HOLE = "Hole"
 LONG_HOLE = "LongHole"
@@ -33,7 +33,6 @@ CAP = "Cap"
 K23 = "K23"
 C6BAR = "C6Bar"
 W54 = "W54"
-SEVEN_ANTIHOLE = "SevenAntihole"
 
 THREE_PATH_KINDS = (THETA, PYRAMID, PRISM)
 WHEEL_KINDS = (UNIVERSAL_WHEEL, TWIN_WHEEL, PROPER_WHEEL)
@@ -240,8 +239,6 @@ def check_certificate(g: Graph, cert: Certificate) -> bool:
             if not all(g.has_edge(tri[i], tri[j]) for i in range(3) for j in range(i + 1, 3)):
                 return False
         return all(g.has_edge(a[i], b[j]) == (i == j) for i in range(3) for j in range(3))
-    if kind == SEVEN_ANTIHOLE:
-        return len(verts) == 7 and _is_hole_order(complement(g), verts, 7)
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 

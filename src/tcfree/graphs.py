@@ -156,9 +156,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     return _graph_from_masks(len(vs), adj), vs
 
 
-def true_twin_partition(g: Graph) -> tuple[list[frozenset[int]], Graph, list[int]]:
+def true_twin_partition(g: Graph, mask: Optional[int] = None) -> tuple[list[frozenset[int]], Graph, list[int]]:
     """Partition into true twin classes, the quotient graph, and the least
-    vertex of each class.
+    vertex of each class, for the subgraph that mask induces, all of g when
+    omitted.
 
     Two vertices are true twins when their closed neighborhoods coincide;
     classes are cliques and the quotient has an edge exactly between classes
@@ -166,10 +167,14 @@ def true_twin_partition(g: Graph) -> tuple[list[frozenset[int]], Graph, list[int
     the quotient is the subgraph those least vertices induce and the list of
     them maps quotient vertices back to g.
     """
+    if mask is None:
+        mask = g.full_mask()
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.closed_mask(v), []).append(v)
-    parts = sorted(groups.values(), key=lambda p: p[0])
+    for v in iter_bits(mask):
+        groups.setdefault(g.closed_mask(v) & mask, []).append(v)
+    # the vertices come in increasing order, so the groups are ordered by
+    # least vertex
+    parts = list(groups.values())
     quotient, reps = induced_subgraph(g, [p[0] for p in parts])
     return [frozenset(p) for p in parts], quotient, reps
 
@@ -246,8 +251,7 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Proper coloring; colors are positive integers, count their number.
-    A leaf colorer gives color 0 to the vertices outside its atom."""
+    """Proper coloring; colors are positive integers, count their number."""
 
     colors: tuple[int, ...]
     count: int

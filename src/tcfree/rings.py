@@ -259,19 +259,25 @@ def weighted_cycle_color(k: int, mults: Sequence[int]) -> tuple[list[tuple[int, 
     return sets, n_colors
 
 
+def _hyperhole_colors(parts: Sequence[Sequence[int]]) -> tuple[dict[int, int], int]:
+    """An optimal coloring of the hyperhole with these parts, as the colors
+    of its vertices and their count: each part's weighted cycle color set
+    distributed over its vertices."""
+    sets, count = weighted_cycle_color(len(parts), [len(p) for p in parts])
+    return {v: c for part, cs in zip(parts, sets) for v, c in zip(part, cs)}, count
+
+
 def hyperhole_color(g: Graph, parts: Optional[list[tuple[int, ...]]] = None) -> Coloring:
-    """Optimal coloring of a hyperhole: distribute each part's weighted
-    cycle color set over its vertices."""
+    """Optimal coloring of a hyperhole, its parts found when not given."""
     if parts is None:
         parts = recognize_hyperhole(g)
         if parts is None:
             raise ValueError("not a hyperhole")
-    sets, count = weighted_cycle_color(len(parts), [len(p) for p in parts])
-    colors = [0] * g.n
-    for part, cs in zip(parts, sets):
-        for v, c in zip(part, cs):
-            colors[v] = c
-    return Coloring(tuple(colors), count)
+    colors, count = _hyperhole_colors(parts)
+    out = [0] * g.n
+    for v, c in colors.items():
+        out[v] = c
+    return Coloring(tuple(out), count)
 
 
 def hyperhole_mwc(wg: WeightedGraph, parts: Optional[list[tuple[int, ...]]] = None) -> tuple:

@@ -17,6 +17,7 @@ from tcfree.classes import (
     color_gutcap,
     double_star_cutset_from_cap,
     mwc_gt,
+    mwc_gu,
     mwc_mwss_gu,
     mwc_mwss_gutcap,
     mwss_gt,
@@ -47,6 +48,7 @@ from tcfree.generators import (
     gen_hyperhole,
     gen_ring,
     join_graphs,
+    path_graph,
 )
 from tcfree.graphs import (
     Graph,
@@ -344,3 +346,28 @@ def test_criterion_11_large_instances_stay_fast():
     tree = build_tree(ch)
     assert time.perf_counter() - t0 < 2.0
     assert len(tree.nodes) <= 2 * ch.n - 1
+
+
+def _best_of(runs, solve, arg) -> float:
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        solve(arg)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_gt_solvers_solve_atoms_by_family_quickly():
+    # one kernel per part pair or per vertex of the smallest part, not one
+    # chordal kernel per closed neighborhood or per vertex of the atom
+    assert _best_of(1, mwc_gt, _unit(complete_graph(300))) < 1.0
+    member = _unit(gen_class_member(3, "gt", 120, 480))
+    assert _best_of(1, mwc_gt, member) < 1.0
+    assert _best_of(1, mwss_gt, member) < 1.0
+
+
+def test_leaf_colorers_color_their_atom_only():
+    # a path of 4000 vertices is 3999 atoms: coloring them stays about as
+    # cheap as the clique solver on the same tree, not quadratic
+    path = path_graph(4000)
+    assert _best_of(3, color_gu, path) < 1.5 * _best_of(3, mwc_gu, _unit(path))

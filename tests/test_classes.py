@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_graph
 from tcfree import classes, decomposition
+from tcfree.chordal import simplicial_order
 from tcfree.classes import (
     BUH_EVEN_HOLE,
     BUH_K1,
@@ -64,10 +66,12 @@ from tcfree.generators import (
 from tcfree.graphs import (
     Graph,
     WeightedGraph,
+    bits_list,
     induced_subgraph,
     is_clique,
     is_proper_coloring,
     is_stable_set,
+    iter_bits,
     mask_of,
     masked_components,
 )
@@ -78,6 +82,7 @@ from tcfree.oracles import (
     iter_all_graphs,
     truemper_present,
 )
+from tcfree.rings import verify_good_partition
 
 _RECOGNIZERS = {
     "gut": recognize_gut,
@@ -252,6 +257,77 @@ def test_gt_solvers_match_brute(seed, data):
     assert sv == brute_alpha_w(wg)
 
 
+def _gt_basic_graph(rng: random.Random) -> tuple[str, Graph]:
+    """A random gt basic graph of at most 18 vertices and its family: a
+    ring with k from 4 to 8 parts blown up into twin classes of 1-3
+    vertices, a 7-hyperantihole, or a complete graph."""
+    roll = rng.random()
+    if roll < 0.6:
+        while True:
+            k = rng.randint(4, 8)
+            ring, _ = gen_ring(rng.randrange(2**30), k, [rng.randint(1, 2) for _ in range(k)])
+            g = _twin_expansion(rng, ring)
+            if g.n <= 18:
+                return classes.RING, g
+    if roll < 0.85:
+        return classes.ANTIHOLE, gen_hyperantihole(0, 7, [rng.randint(1, 2) for _ in range(7)])
+    return classes.CLIQUE, complete_graph(rng.randint(1, 8))
+
+
+def _mixed_weights(rng: random.Random, n: int) -> tuple:
+    """Weights from -4 to 9, as Fractions with small denominators half the
+    time."""
+    ws = [rng.randint(-4, 9) for _ in range(n)]
+    if rng.random() < 0.5:
+        ws = [Fraction(w, rng.randint(1, 3)) for w in ws]
+    return tuple(ws)
+
+
+def test_gt_leaf_solvers_match_brute_on_basic_graphs():
+    rng = random.Random(1800)
+    seen = {classes.RING: 0, classes.ANTIHOLE: 0, classes.CLIQUE: 0}
+    for trial in range(300):
+        family, g = _gt_basic_graph(rng)
+        atom = classes._gt_leaf(g, tuple(range(g.n)))
+        assert atom.family == family, (trial, g.adj)
+        seen[family] += 1
+        ws = _mixed_weights(rng, g.n)
+        wg = WeightedGraph(g, ws)
+        value, clique = atom.mwc(wg)
+        assert is_clique(g, clique) and sum(ws[v] for v in clique) == value
+        assert value == brute_omega_w(wg) == mwc_gt(wg)[0], (trial, g.adj, ws)
+        assert mwss_gt(wg)[0] == brute_alpha_w(wg), (trial, g.adj, ws)
+        # solve_mwss asks the leaf about subsets of its atom by mask
+        for mask in [g.full_mask(), 0] + [rng.getrandbits(g.n) for _ in range(4)]:
+            value, stable = atom.mwss(wg, mask)
+            assert mask_of(stable) & ~mask == 0
+            assert is_stable_set(g, stable) and sum(ws[v] for v in stable) == value
+            if mask:
+                sub, verts = induced_subgraph(g, iter_bits(mask))
+                assert value == brute_alpha_w(WeightedGraph(sub, tuple(ws[v] for v in verts))), (trial, mask)
+            else:
+                assert value == 0
+    assert min(seen.values()) >= 40, seen
+
+
+def test_gt_ring_evidence_is_a_good_partition_with_chordal_remainders():
+    # the ring solvers rest on two claims: the union of two consecutive
+    # parts is chordal, and so is the ring minus any one part
+    rng = random.Random(1801)
+    rings = 0
+    while rings < 60:
+        family, g = _gt_basic_graph(rng)
+        if family != classes.RING:
+            continue
+        rings += 1
+        parts = classes._gt_leaf(g, tuple(range(g.n))).parts
+        k = len(parts)
+        assert k >= 4 and verify_good_partition(g, [bits_list(p) for p in parts])
+        for i, part in enumerate(parts):
+            assert simplicial_order(g, g.full_mask() & ~part) is not None, (g.adj, i)
+            assert simplicial_order(g, part | parts[(i + 1) % k]) is not None, (g.adj, i)
+
+
 def test_gu_solver_accepts_fractional_weights():
     g = cycle_graph(5)
     wg = WeightedGraph(g, (0.5, 1.5, 0.25, 2.0, 1.0))
@@ -268,9 +344,11 @@ def test_solvers_reject_structural_failures():
     with pytest.raises(NotInClassError):
         color_gu(k23)
 
+    # the W5 wheel is one atom, and the leaf test rejects it
     uw = join_graphs(cycle_graph(5), complete_graph(1))
-    with pytest.raises(NotInClassError, match="universal wheel"):
+    with pytest.raises(NotInClassError) as exc:
         mwc_gt(WeightedGraph(uw, (1,) * 6))
+    assert str(exc.value) == recognize_gt(uw).reason
 
     # the Petersen graph is an atom and no ring
     outer = [(i, (i + 1) % 5) for i in range(5)]
@@ -288,16 +366,20 @@ def test_solvers_reject_structural_failures():
 
 
 def test_solvers_on_supersets_still_verify():
-    # mwc_gt only needs chordal closed neighborhoods, which holds for the
-    # triangle-free Petersen graph even though it is far outside the class
+    # every closed neighborhood of the triangle-free Petersen graph is
+    # chordal, but the graph is far outside the class: it is one atom and no
+    # ring, so mwc_gt rejects it with the recognizer's leaf test
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     petersen = Graph(10, outer + inner + spokes)
     wg = WeightedGraph(petersen, tuple(range(1, 11)))
-    value, clique = mwc_gt(wg)
-    assert value == brute_omega_w(wg)
-    assert is_clique(petersen, clique)
+    rec = recognize_gt(petersen)
+    assert not rec.member
+    with pytest.raises(NotInClassError) as exc:
+        mwc_gt(wg)
+    assert str(exc.value) == rec.reason
+    assert exc.value.leaf == rec.leaf
 
 
 def test_chi_bound_witnesses():
@@ -391,6 +473,7 @@ def test_double_star_cutset_validates_input():
         ("gu", color_gu),
         ("gutcap", lambda g: mwc_mwss_gutcap(WeightedGraph(g, (1,) * g.n))),
         ("gutcap", color_gutcap),
+        ("gt", lambda g: mwc_gt(WeightedGraph(g, (1,) * g.n))),
         ("gt", lambda g: mwss_gt(WeightedGraph(g, (1,) * g.n))),
     ],
 )
@@ -436,7 +519,8 @@ def test_solvers_reject_exactly_what_recognize_rejects():
             assert raises(solver, arg) == (not member), (solver.__name__, g.adj)
         member = recognize_gt(g).member
         rejected["gt"] += not member
-        assert raises(mwss_gt, wg) == (not member), g.adj
+        for solver in (mwc_gt, mwss_gt):
+            assert raises(solver, wg) == (not member), (solver.__name__, g.adj)
         rec = recognize_gutcap(g)
         rejected["gutcap"] += rec.leaf is not None
         for solver, arg in ((mwc_gutcap, wg), (mwss_gutcap, wg), (color_gutcap, g)):

@@ -134,10 +134,24 @@ def test_solve_nonmember_reports_reason(tmp_path, capsys):
     data = json.loads(out)
     assert data["member"] is False
     assert data["solution"] is None and data["value"] is None
-    assert "universal wheel" in data["reason"]
+    # the W5 wheel is one atom, rejected by the leaf test as recognize does
+    code, out, err = run(capsys, ["recognize", "--class", "gt", path])
+    assert code == 1
+    assert data["reason"] == json.loads(out)["reason"]
 
     path = write_graph(tmp_path, K23, name="k23.txt")
     code, out, err = run(capsys, ["solve", "--class", "gu", "--problem", "color", path])
+    assert code == 1
+    assert json.loads(out)["member"] is False
+
+
+def test_solve_gt_mwc_rejects_the_petersen_graph(tmp_path, capsys):
+    # every closed neighborhood is chordal, but the one atom is no ring
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    path = write_graph(tmp_path, Graph(10, outer + inner + spokes))
+    code, out, _ = run(capsys, ["solve", "--class", "gt", "--problem", "mwc", path])
     assert code == 1
     assert json.loads(out)["member"] is False
 

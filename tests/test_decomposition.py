@@ -32,7 +32,6 @@ from tcfree.decomposition import (
 )
 from tcfree.generators import complete_graph, complete_multipartite, cycle_graph, path_graph
 from tcfree.graphs import (
-    Coloring,
     Graph,
     WeightedGraph,
     bits_list,
@@ -325,10 +324,7 @@ def _exact_color_leaves(tree):
         def solve(g):
             sub, verts = induced_subgraph(g, atom)
             col = exact_coloring(sub)
-            colors = [0] * g.n
-            for v, c in zip(verts, col.colors):
-                colors[v] = c
-            return Coloring(tuple(colors), col.count)
+            return dict(zip(verts, col.colors)), col.count
 
         return solve
 
