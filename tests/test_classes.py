@@ -473,7 +473,7 @@ def test_double_star_cutset_validates_input():
         ("gu", color_gu),
         ("gutcap", lambda g: mwc_mwss_gutcap(WeightedGraph(g, (1,) * g.n))),
         ("gutcap", color_gutcap),
-        ("gt", lambda g: mwc_gt(WeightedGraph(g, (1,) * g.n))),
+        pytest.param("gt", lambda g: mwc_gt(WeightedGraph(g, (1,) * g.n)), id="gt-mwc_gt"),
         ("gt", lambda g: mwss_gt(WeightedGraph(g, (1,) * g.n))),
     ],
 )
