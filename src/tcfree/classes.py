@@ -28,7 +28,7 @@ from .chordal import (
     _chordal_colors,
     chordal_mwc,
     chordal_mwss,
-    is_chordal,
+    simplicial_order,
 )
 from .decomposition import (
     DecompositionTree,
@@ -61,7 +61,6 @@ from .graphs import (
     anticomponents,
     complement,
     component_of,
-    induced_subgraph,
     iter_bits,
     mask_of,
     masked_components,
@@ -143,13 +142,16 @@ class Recognition:
 
 
 # Each class has one leaf function, leaf(g, atom): it runs the class's
-# basic-family test on the atom, raises NotInClassError naming the failing
-# leaf on failure, and otherwise returns the atom's leaf solvers in g's
-# labels: a Join of its anticomponents for gu and gutcap, and for gt a
-# GtAtom, the atom's basic family with its evidence. The recognizer and
-# every solver of the class call it once per atom. gut and gutcap also
-# exclude graphs that their leaf tests do not see; their global test raises
-# NotInClassError with a certificate before the decomposition is built.
+# basic-family test on the atom, a vertex mask of g, raises NotInClassError
+# naming the failing leaf on failure, and otherwise returns the atom's leaf
+# solvers in g's labels: a Join of its anticomponents for gu and gutcap, and
+# for gt a GtAtom, the atom's basic family with its evidence. Anticomponents
+# are masks of g too, so no leaf copies a subgraph; the only copies are the
+# true-twin quotients, one per gt atom and one per gut anticomponent. The
+# recognizer and every solver of the class call it once per atom. gut and
+# gutcap also exclude graphs that their leaf tests do not see; their global
+# test raises NotInClassError with a certificate before the decomposition
+# is built.
 
 
 def _recognize_leaves(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> Recognition:
@@ -157,7 +159,7 @@ def _recognize_leaves(g: Graph, leaf: Callable, global_test: Optional[Callable] 
         if global_test is not None:
             global_test(g)
         for node in build_tree(g).leaves():
-            leaf(g, node.vertices)
+            leaf(g, mask_of(node.vertices))
     except NotInClassError as exc:
         return Recognition(False, exc.certificate, str(exc), exc.leaf, exc.anticomponent)
     return Recognition(True)
@@ -169,7 +171,7 @@ def _leaf_solvers(g: Graph, leaf: Callable, global_test: Optional[Callable] = No
     if global_test is not None:
         global_test(g)
     tree = build_tree(g)
-    return tree, [leaf(g, node.vertices) for node in tree.leaves()]
+    return tree, [leaf(g, mask_of(node.vertices)) for node in tree.leaves()]
 
 
 def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:
@@ -217,23 +219,26 @@ def _hyperhole_piece(mask: int, parts: list[tuple[int, ...]]) -> JoinPiece:
 # gut
 
 
-def _gut_leaf(g: Graph, atom: Sequence[int]) -> None:
-    """Each anticomponent of the leaf must be a long ring, or
-    long-hole-free, or have no three pairwise nonadjacent vertices."""
-    sub, verts = induced_subgraph(g, atom)
-    for ac in anticomponents(sub):
-        h, _ = induced_subgraph(sub, ac)
-        ring = recognize_ring(h)
+def _gut_leaf(g: Graph, atom: int) -> None:
+    """Each anticomponent h of the leaf must be a long ring, or
+    long-hole-free, or have no three pairwise nonadjacent vertices. All
+    three tests run on h's true-twin quotient, which answers each the same:
+    h is a ring exactly when its quotient is one, with the same k, since
+    all holes of a ring have length k; a long hole has no true twins; and
+    twin classes are cliques, so a stable set meets each at most once."""
+    for ac in anticomponents(g, atom):
+        _, quotient, _ = true_twin_partition(g, ac)
+        ring = recognize_ring(quotient)
         if ring is not None and ring.k >= 5:
             continue
-        if _twin_quotient_search(h)(find_long_hole) is None:
+        if find_long_hole(quotient) is None:
             continue
-        if alpha_at_most_2(h):
+        if alpha_at_most_2(quotient):
             continue
         raise NotInClassError(
             "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
-            leaf=frozenset(verts),
-            anticomponent=frozenset(verts[i] for i in ac),
+            leaf=frozenset(iter_bits(atom)),
+            anticomponent=frozenset(iter_bits(ac)),
         )
 
 
@@ -256,68 +261,55 @@ def recognize_gut(g: Graph) -> Recognition:
 # gu
 
 
-def _path_forest(g: Graph) -> bool:
-    if any(g.degree(v) > 2 for v in range(g.n)):
+def _path_forest(g: Graph, mask: int) -> bool:
+    degrees = [(g.adj[v] & mask).bit_count() for v in iter_bits(mask)]
+    if max(degrees) > 2:
         return False
-    return g.m == g.n - len(masked_components(g, g.full_mask()))
+    return sum(degrees) // 2 == len(degrees) - len(masked_components(g, mask))
 
 
-def recognize_bu_h(g: Graph) -> Optional[list[tuple[tuple[int, ...], str]]]:
-    """Anticomponent structure of a gu decomposition leaf, or None: each
+def recognize_bu_h(g: Graph, mask: Optional[int] = None) -> Optional[list[tuple[tuple[int, ...], str]]]:
+    """Anticomponent structure of a gu decomposition leaf, the subgraph
+    that mask induces (all of g when omitted), or None: each
     anticomponent's vertices with its label, a hole's in cyclic order and
     the others' sorted.
 
     Members have every nontrivial anticomponent isomorphic to two
     nonadjacent vertices, or a single nontrivial anticomponent that is a
     long hole or a disjoint union of paths on at least three vertices.
-
-    When every degree is at least n - 2 the anticomponents are single
-    vertices and nonadjacent pairs, settled directly. Otherwise the
-    vertices of degree n - 1 are the trivial anticomponents and the rest
-    must together form the one nontrivial anticomponent: any vertex of
-    degree at most n - 3 and all its nonneighbors land there, so that side
-    has at least three vertices, and it is anticonnected whenever it is a
-    long hole or a path union (the only exception, a path on three
-    vertices, would put its middle vertex at degree n - 1).
     """
-    n = g.n
-    if all(g.degree(v) >= n - 2 for v in range(n)):
-        return [
-            (tuple(sorted(ac)), BUH_K1 if len(ac) == 1 else BUH_K2BAR)
-            for ac in anticomponents(g)
-        ]
-    rest = [v for v in range(n) if g.degree(v) < n - 1]
-    sub, _ = induced_subgraph(g, rest)
-    order = _single_cycle_order(sub)
+    acs = anticomponents(g, mask)
+    wide = [ac for ac in acs if ac.bit_count() > 1]
+    if all(ac.bit_count() == 2 for ac in wide):
+        return [(tuple(iter_bits(ac)), BUH_K1 if ac.bit_count() == 1 else BUH_K2BAR) for ac in acs]
+    if len(wide) > 1:
+        return None
+    h = wide[0]
+    order = _single_cycle_order(g, h)
     if order is not None and len(order) >= 5:
-        piece = (tuple(rest[i] for i in order), BUH_ODD_HOLE if len(order) % 2 else BUH_EVEN_HOLE)
-    elif sub.n >= 3 and _path_forest(sub):
-        piece = (tuple(rest), BUH_PATHS)
+        piece = (tuple(order), BUH_ODD_HOLE if len(order) % 2 else BUH_EVEN_HOLE)
+    elif _path_forest(g, h):
+        piece = (tuple(iter_bits(h)), BUH_PATHS)
     else:
         return None
-    pieces = [((u,), BUH_K1) for u in range(n) if g.degree(u) == n - 1]
-    pieces.append(piece)
-    pieces.sort(key=lambda piece: min(piece[0]))
-    return pieces
+    return [piece if ac == h else ((ac.bit_length() - 1,), BUH_K1) for ac in acs]
 
 
-def _gu_leaf(g: Graph, atom: Sequence[int]) -> Join:
+def _gu_leaf(g: Graph, atom: int) -> Join:
     """The leaf's anticomponents as a Join: holes are hyperholes with
     single-vertex parts, and K1, K2bar and path unions are chordal."""
-    sub, verts = induced_subgraph(g, atom)
-    pieces = recognize_bu_h(sub)
+    pieces = recognize_bu_h(g, atom)
     if pieces is None:
         raise NotInClassError(
             "leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices",
-            leaf=frozenset(verts),
+            leaf=frozenset(iter_bits(atom)),
         )
     out = []
     for vs, label in pieces:
-        mask = mask_of(verts[i] for i in vs)
         if label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            out.append(_hyperhole_piece(mask, [(verts[i],) for i in vs]))
+            out.append(_hyperhole_piece(mask_of(vs), [(v,) for v in vs]))
         else:
-            out.append(_chordal_piece(mask))
+            out.append(_chordal_piece(mask_of(vs)))
     return Join(tuple(out))
 
 
@@ -429,14 +421,14 @@ class GtAtom:
         return best, best_set
 
 
-def _gt_leaf(g: Graph, atom: Sequence[int]) -> GtAtom:
+def _gt_leaf(g: Graph, atom: int) -> GtAtom:
     """The atom's basic family and evidence. Contracted by true twins, a gt
     atom is a single vertex (the atom is a clique), a ring, or the
     7-antihole (the atom is a 7-hyperantihole). The twin classes come from
     closed neighborhoods within the atom, and the quotient's parts are
     lifted through them; the classes are disjoint masks, so the sum of a
     part's classes is their union."""
-    classes, quotient, _ = true_twin_partition(g, mask_of(atom))
+    classes, quotient, _ = true_twin_partition(g, atom)
     twins = [mask_of(c) for c in classes]
     if quotient.n == 1:
         return GtAtom(CLIQUE, (twins[0],))
@@ -449,7 +441,7 @@ def _gt_leaf(g: Graph, atom: Sequence[int]) -> GtAtom:
             return GtAtom(ANTIHOLE, tuple(twins[i] for i in order))
     raise NotInClassError(
         "leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole",
-        leaf=frozenset(atom),
+        leaf=frozenset(iter_bits(atom)),
     )
 
 
@@ -475,26 +467,23 @@ def mwss_gt(wg: WeightedGraph) -> tuple:
 # gutcap
 
 
-def _gutcap_leaf(g: Graph, atom: Sequence[int]) -> Join:
+def _gutcap_leaf(g: Graph, atom: int) -> Join:
     """The leaf's anticomponents as a Join: each must be chordal or a
     hyperhole with at least 5 parts (an anticomponent is never a
     4-hyperhole, whose complement is disconnected)."""
-    sub, verts = induced_subgraph(g, atom)
     out = []
-    for ac in anticomponents(sub):
-        h, hverts = induced_subgraph(sub, ac)
-        mask = mask_of(verts[i] for i in hverts)
-        if is_chordal(h):
-            out.append(_chordal_piece(mask))
+    for ac in anticomponents(g, atom):
+        if simplicial_order(g, ac) is not None:
+            out.append(_chordal_piece(ac))
             continue
-        parts = recognize_hyperhole(h)
+        parts = recognize_hyperhole(g, ac)
         if parts is None or len(parts) < 5:
             raise NotInClassError(
                 "leaf anticomponent is neither chordal nor a long hyperhole",
-                leaf=frozenset(verts),
-                anticomponent=frozenset(verts[i] for i in ac),
+                leaf=frozenset(iter_bits(atom)),
+                anticomponent=frozenset(iter_bits(ac)),
             )
-        out.append(_hyperhole_piece(mask, [tuple(verts[hverts[i]] for i in p) for p in parts]))
+        out.append(_hyperhole_piece(ac, parts))
     return Join(tuple(out))
 
 

@@ -48,7 +48,7 @@ from .generators import (
     rand_sizes,
 )
 from .graphs import Coloring, WeightedGraph, is_clique, is_proper_coloring, is_stable_set
-from .io import ParseError, format_graph, parse_graph
+from .io import ParseError, _decimal_text, format_graph, parse_graph
 from .oracles import brute_chi, brute_omega_w
 
 _RECOGNIZERS = {
@@ -129,18 +129,6 @@ def _to_external(obj):
     if isinstance(obj, list):
         return [_to_external(x) for x in obj]
     return obj
-
-
-def _decimal_text(q: Fraction) -> str:
-    """Exact decimal text of q. Weights are read from decimal text, so every
-    value has a denominator that divides a power of ten."""
-    places = 0
-    while 10**places % q.denominator:
-        places += 1
-    digits = str(abs(q.numerator) * 10**places // q.denominator).rjust(places + 1, "0")
-    if places:
-        digits = f"{digits[:-places]}.{digits[-places:]}"
-    return f"-{digits}" if q < 0 else digits
 
 
 def _json_text(obj, indent: str = "\n") -> str:

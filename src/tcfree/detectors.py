@@ -10,8 +10,10 @@ K23, C6BAR and W54 copies grow from anchor vertices by mask intersections.
 
 Long holes, caps, K23, C6BAR and W54 have no two true twins, and true twins
 stay twins in every induced subgraph, so a graph contains one exactly when
-its true-twin quotient does. The class recognizers therefore run these
-searches on the quotient (classes._twin_quotient_search).
+its true-twin quotient does. The class recognizers therefore run the global
+searches on the quotient of the whole graph (classes._twin_quotient_search),
+and the gut leaf test runs find_long_hole on the quotient of each
+anticomponent, the one its ring and stable-set tests read too.
 """
 
 from __future__ import annotations

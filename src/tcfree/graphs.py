@@ -125,12 +125,24 @@ def masked_components(g: Graph, mask: int) -> list[int]:
     return comps
 
 
-def components(g: Graph) -> list[frozenset[int]]:
-    return [frozenset(iter_bits(m)) for m in masked_components(g, g.full_mask())]
-
-
-def anticomponents(g: Graph) -> list[frozenset[int]]:
-    return components(complement(g))
+def anticomponents(g: Graph, mask: Optional[int] = None) -> list[int]:
+    """Connected components of the complement of the subgraph that mask
+    induces, all of g when omitted, as masks ordered by least vertex: one
+    flood over nonneighbors, each vertex entering the frontier once."""
+    rest = g.full_mask() if mask is None else mask
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        rest ^= comp
+        while frontier:
+            grow = 0
+            for u in iter_bits(frontier):
+                grow |= rest & ~g.adj[u]
+            rest ^= grow
+            comp |= grow
+            frontier = grow
+        comps.append(comp)
+    return comps
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

@@ -122,13 +122,26 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph(_graph_from_masks(n, adj), tuple(weights))
 
 
+def _decimal_text(q: Fraction) -> str:
+    """Exact decimal text of q, or ValueError when q has none (such as 1/3).
+    A finite decimal needs fewer places than its denominator has bits."""
+    places = 0
+    while 10**places % q.denominator:
+        places += 1
+        if places > q.denominator.bit_length():
+            raise ValueError(f"{q} has no finite decimal expansion")
+    digits = str(abs(q.numerator) * 10**places // q.denominator).rjust(places + 1, "0")
+    if places:
+        digits = f"{digits[:-places]}.{digits[-places:]}"
+    return f"-{digits}" if q < 0 else digits
+
+
 def format_graph(g: Graph, weights=None) -> str:
+    """The text of g and its weights, a Fraction as its exact decimal."""
     lines = [f"p {g.n} {g.m}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
     if weights is not None:
         for v, w in enumerate(weights):
             if w != 1:
-                if isinstance(w, Fraction):
-                    w = float(w)
-                lines.append(f"w {v + 1} {w}")
+                lines.append(f"w {v + 1} {_decimal_text(w) if isinstance(w, Fraction) else w}")
     return "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     WeightedGraph,
     complement,
+    is_clique_mask,
     iter_bits,
     mask_of,
     masked_components,
@@ -65,10 +66,8 @@ def verify_good_partition(g: Graph, parts: Sequence[Sequence[int]]) -> bool:
     k = len(masks)
     if k < 4:
         return False
-    for m in masks:
-        for v in iter_bits(m):
-            if m & ~g.closed_mask(v):
-                return False
+    if not all(is_clique_mask(g, m) for m in masks):
+        return False
     for i in range(k):
         reach = 0
         for v in iter_bits(masks[i]):
@@ -81,15 +80,7 @@ def verify_good_partition(g: Graph, parts: Sequence[Sequence[int]]) -> bool:
         side = masks[(i - 1) % k] | masks[(i + 1) % k]
         if not any(side & ~g.adj[v] == 0 for v in iter_bits(masks[i])):
             return False
-    for m in masks:
-        vs = list(iter_bits(m))
-        for a in vs:
-            for b in vs:
-                if a < b:
-                    na, nb = g.closed_mask(a), g.closed_mask(b)
-                    if na | nb not in (na, nb):
-                        return False
-    return True
+    return all(_dominance_order(g, m) is not None for m in masks)
 
 
 def _dominance_order(g: Graph, mask: int) -> Optional[tuple[int, ...]]:
@@ -163,31 +154,34 @@ def _extend_ring(g: Graph, x1_mask: int, x1_order: tuple[int, ...], x2_mask: int
     return GoodPartition(tuple(tuple(o) for o in orders))
 
 
-def _single_cycle_order(g: Graph) -> Optional[list[int]]:
-    """Vertex order when the whole graph is one chordless cycle of length
-    >= 4, else None."""
-    n = g.n
-    if n < 4 or any(g.degree(v) != 2 for v in range(n)):
+def _single_cycle_order(g: Graph, mask: Optional[int] = None) -> Optional[list[int]]:
+    """Vertex order, from the least vertex, when the subgraph that mask
+    induces, all of g when omitted, is one chordless cycle of length >= 4,
+    else None."""
+    mask = g.full_mask() if mask is None else mask
+    n = mask.bit_count()
+    if n < 4 or any((g.adj[v] & mask).bit_count() != 2 for v in iter_bits(mask)):
         return None
-    # with every degree 2, a walk from 0 that has not returned within n - 1
-    # steps lies on one cycle through all n vertices, which has no chord
-    order = [0]
-    prev = -1
-    cur = 0
+    # with every degree 2, a walk from the least vertex that has not
+    # returned within n - 1 steps visits all n on one chordless cycle
+    first = (mask & -mask).bit_length() - 1
+    order = [first]
+    prev, cur = -1, first
     for _ in range(n - 1):
-        nxt = next(u for u in iter_bits(g.adj[cur]) if u != prev)
-        if nxt == 0:
+        nxt = next(u for u in iter_bits(g.adj[cur] & mask) if u != prev)
+        if nxt == first:
             return None
         prev, cur = cur, nxt
         order.append(cur)
     return order
 
 
-def recognize_hyperhole(g: Graph) -> Optional[list[tuple[int, ...]]]:
-    """Parts of g in cyclic order when g is a hyperhole (an expansion of a
-    hole by nonempty cliques), else None. The true-twin classes of a
-    hyperhole are exactly its parts, so the quotient must be a hole."""
-    classes, quotient, _ = true_twin_partition(g)
+def recognize_hyperhole(g: Graph, mask: Optional[int] = None) -> Optional[list[tuple[int, ...]]]:
+    """Parts in cyclic order when the subgraph that mask induces, all of g
+    when omitted, is a hyperhole (an expansion of a hole by nonempty
+    cliques), else None. The true-twin classes of a hyperhole are exactly
+    its parts, so the quotient must be a hole."""
+    classes, quotient, _ = true_twin_partition(g, mask)
     order = _single_cycle_order(quotient)
     if order is None:
         return None

@@ -1,6 +1,7 @@
 """Class recognizers, class solvers, and the double star cutset."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -10,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rand_graph
-from tcfree import classes, decomposition
-from tcfree.chordal import simplicial_order
+from tcfree import classes, decomposition, graphs
+from tcfree.chordal import is_chordal, simplicial_order
 from tcfree.classes import (
     BUH_EVEN_HOLE,
     BUH_K1,
@@ -37,7 +38,7 @@ from tcfree.classes import (
     recognize_gut,
     recognize_gutcap,
 )
-from tcfree.decomposition import glue
+from tcfree.decomposition import build_tree, glue
 from tcfree.detectors import (
     C6BAR,
     CAP,
@@ -66,7 +67,10 @@ from tcfree.generators import (
 from tcfree.graphs import (
     Graph,
     WeightedGraph,
+    alpha_at_most_2,
+    anticomponents,
     bits_list,
+    complement,
     induced_subgraph,
     is_clique,
     is_proper_coloring,
@@ -82,7 +86,12 @@ from tcfree.oracles import (
     iter_all_graphs,
     truemper_present,
 )
-from tcfree.rings import verify_good_partition
+from tcfree.rings import (
+    _single_cycle_order,
+    recognize_hyperhole,
+    recognize_ring,
+    verify_good_partition,
+)
 
 _RECOGNIZERS = {
     "gut": recognize_gut,
@@ -288,7 +297,7 @@ def test_gt_leaf_solvers_match_brute_on_basic_graphs():
     seen = {classes.RING: 0, classes.ANTIHOLE: 0, classes.CLIQUE: 0}
     for trial in range(300):
         family, g = _gt_basic_graph(rng)
-        atom = classes._gt_leaf(g, tuple(range(g.n)))
+        atom = classes._gt_leaf(g, g.full_mask())
         assert atom.family == family, (trial, g.adj)
         seen[family] += 1
         ws = _mixed_weights(rng, g.n)
@@ -320,7 +329,7 @@ def test_gt_ring_evidence_is_a_good_partition_with_chordal_remainders():
         if family != classes.RING:
             continue
         rings += 1
-        parts = classes._gt_leaf(g, tuple(range(g.n))).parts
+        parts = classes._gt_leaf(g, g.full_mask()).parts
         k = len(parts)
         assert k >= 4 and verify_good_partition(g, [bits_list(p) for p in parts])
         for i, part in enumerate(parts):
@@ -530,3 +539,199 @@ def test_solvers_reject_exactly_what_recognize_rejects():
                 assert not raises(solver, arg), (solver.__name__, g.adj)
     # most gutcap non-members fail the global tests, so few reach a leaf
     assert rejected["gu"] >= 50 and rejected["gt"] >= 50 and rejected["gutcap"] >= 1, rejected
+
+
+def test_leaf_tests_copy_no_atom(monkeypatch):
+    # the leaf tests read each atom and anticomponent as a mask of g: gu
+    # copies nothing, and gut copies one true-twin quotient for its global
+    # searches plus one per anticomponent of each atom
+    copies = []
+    original = graphs.induced_subgraph
+
+    def counted(*args):
+        copies.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tcfree") and getattr(module, "induced_subgraph", None) is original:
+            monkeypatch.setattr(module, "induced_subgraph", counted)
+    for seed in range(6):
+        g = gen_class_member(seed, "gu", pieces=4, max_n=16)
+        copies.clear()
+        assert recognize_gu(g).member
+        mwc_mwss_gu(WeightedGraph(g, (1,) * g.n))
+        assert copies == [], (seed, g.n)
+        g = gen_class_member(seed, "gut", pieces=4, max_n=16)
+        acs = sum(len(anticomponents(g, mask_of(node.vertices))) for node in build_tree(g).leaves())
+        copies.clear()
+        assert recognize_gut(g).member
+        assert len(copies) == 1 + acs, (seed, g.n)
+
+
+# The copy-based leaf tests the classes had before their leaf functions read
+# the atom as a mask of g: each copies the atom with induced_subgraph,
+# copies every anticomponent again and maps each answer back through the
+# copies' vertex lists. Kept as the references the mask versions are checked
+# against.
+
+
+def _ref_anticomponents(g):
+    return [frozenset(iter_bits(m)) for m in masked_components(complement(g), g.full_mask())]
+
+
+def _ref_gut_leaf(g, atom):
+    sub, verts = induced_subgraph(g, atom)
+    for ac in _ref_anticomponents(sub):
+        h, _ = induced_subgraph(sub, ac)
+        ring = recognize_ring(h)
+        if ring is not None and ring.k >= 5:
+            continue
+        if classes._twin_quotient_search(h)(find_long_hole) is None:
+            continue
+        if alpha_at_most_2(h):
+            continue
+        raise NotInClassError(
+            "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
+            leaf=frozenset(verts),
+            anticomponent=frozenset(verts[i] for i in ac),
+        )
+
+
+def _ref_path_forest(g):
+    if any(g.degree(v) > 2 for v in range(g.n)):
+        return False
+    return g.m == g.n - len(masked_components(g, g.full_mask()))
+
+
+def _ref_recognize_bu_h(g):
+    n = g.n
+    if all(g.degree(v) >= n - 2 for v in range(n)):
+        return [(tuple(sorted(ac)), BUH_K1 if len(ac) == 1 else BUH_K2BAR) for ac in _ref_anticomponents(g)]
+    rest = [v for v in range(n) if g.degree(v) < n - 1]
+    sub, _ = induced_subgraph(g, rest)
+    order = _single_cycle_order(sub)
+    if order is not None and len(order) >= 5:
+        piece = (tuple(rest[i] for i in order), BUH_ODD_HOLE if len(order) % 2 else BUH_EVEN_HOLE)
+    elif sub.n >= 3 and _ref_path_forest(sub):
+        piece = (tuple(rest), BUH_PATHS)
+    else:
+        return None
+    pieces = [((u,), BUH_K1) for u in range(n) if g.degree(u) == n - 1]
+    pieces.append(piece)
+    pieces.sort(key=lambda piece: min(piece[0]))
+    return pieces
+
+
+def _ref_gu_leaf(g, atom):
+    """The leaf's Join pieces as (mask, hyperhole parts or None)."""
+    sub, verts = induced_subgraph(g, atom)
+    pieces = _ref_recognize_bu_h(sub)
+    if pieces is None:
+        raise NotInClassError(
+            "leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices",
+            leaf=frozenset(verts),
+        )
+    out = []
+    for vs, label in pieces:
+        mask = mask_of(verts[i] for i in vs)
+        if label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
+            out.append((mask, [(verts[i],) for i in vs]))
+        else:
+            out.append((mask, None))
+    return out
+
+
+def _ref_gutcap_leaf(g, atom):
+    """The leaf's Join pieces as (mask, hyperhole parts or None)."""
+    sub, verts = induced_subgraph(g, atom)
+    out = []
+    for ac in _ref_anticomponents(sub):
+        h, hverts = induced_subgraph(sub, ac)
+        mask = mask_of(verts[i] for i in hverts)
+        if is_chordal(h):
+            out.append((mask, None))
+            continue
+        parts = recognize_hyperhole(h)
+        if parts is None or len(parts) < 5:
+            raise NotInClassError(
+                "leaf anticomponent is neither chordal nor a long hyperhole",
+                leaf=frozenset(verts),
+                anticomponent=frozenset(verts[i] for i in ac),
+            )
+        out.append((mask, [tuple(verts[hverts[i]] for i in p) for p in parts]))
+    return out
+
+
+def _outcome(leaf, g, atom):
+    """What a leaf test answers: its rejection with reason, leaf and
+    anticomponent, or its Join as (mask, hyperhole parts or None) per
+    piece."""
+    try:
+        got = leaf(g, atom)
+    except NotInClassError as exc:
+        return "rejected", str(exc), exc.leaf, exc.anticomponent
+    if got is None or isinstance(got, list):
+        return "accepted", got
+    return "accepted", [(piece.mask, piece.mwc.keywords.get("parts")) for piece in got.pieces]
+
+
+def _leaf_differential_graphs(rng):
+    """Random graphs with n from 4 to 12, twin expansions of random graphs,
+    of holes and of joins of a hole with a small graph, and class members,
+    each with the vertex masks to test: the whole graph and its atoms."""
+    for trial in range(2400):
+        kind = trial % 6
+        if kind < 2:
+            g = rand_graph(rng, rng.randrange(4, 13), rng.uniform(0.15, 0.9))
+        elif kind == 2:
+            g = _twin_expansion(rng, rand_graph(rng, rng.randrange(4, 8), rng.uniform(0.2, 0.9)))
+        elif kind == 3:
+            hole = cycle_graph(rng.randrange(4, 9))
+            other = rand_graph(rng, rng.randrange(1, 4), rng.random())
+            g = _twin_expansion(rng, join_graphs(hole, other) if rng.random() < 0.5 else hole)
+        else:
+            cls = CLASS_IDS[trial // 6 % 4]
+            g = gen_class_member(rng.randrange(2**30), cls, pieces=rng.randrange(1, 4), max_n=rng.randrange(8, 19))
+        atoms = [mask_of(node.vertices) for node in build_tree(g).leaves()]
+        yield g, list(dict.fromkeys([g.full_mask()] + atoms))
+
+
+def test_mask_leaf_tests_match_copy_based_references():
+    rng = random.Random(1900)
+    seen = {"rejected-ac": 0, "rejected-leaf": 0, "hyperhole-piece": 0, "hyperhole": 0, "cycle": 0}
+    graphs_run = 0
+    for g, masks in _leaf_differential_graphs(rng):
+        graphs_run += 1
+        for mask in masks:
+            atom = bits_list(mask)
+            for leaf, ref in (
+                (classes._gut_leaf, _ref_gut_leaf),
+                (classes._gu_leaf, _ref_gu_leaf),
+                (classes._gutcap_leaf, _ref_gutcap_leaf),
+            ):
+                got = _outcome(leaf, g, mask)
+                assert got == _outcome(ref, g, atom), (leaf.__name__, g.adj, mask)
+                if got[0] == "rejected":
+                    seen["rejected-ac" if got[3] is not None else "rejected-leaf"] += 1
+                else:
+                    seen["hyperhole-piece"] += sum(parts is not None for _, parts in got[1] or ())
+            sub, verts = induced_subgraph(g, atom)
+            pieces = _ref_recognize_bu_h(sub)
+            if pieces is not None:
+                pieces = [(tuple(verts[i] for i in vs), label) for vs, label in pieces]
+            assert classes.recognize_bu_h(g, mask) == pieces, (g.adj, mask)
+        # the hyperhole and cycle tests on random masks as well
+        for mask in masks + [rng.randrange(1, 1 << g.n) for _ in range(3)]:
+            sub, verts = induced_subgraph(g, bits_list(mask))
+            parts = recognize_hyperhole(sub)
+            if parts is not None:
+                parts = [tuple(verts[i] for i in p) for p in parts]
+                seen["hyperhole"] += 1
+            assert recognize_hyperhole(g, mask) == parts, (g.adj, mask)
+            order = _single_cycle_order(sub)
+            if order is not None:
+                order = [verts[i] for i in order]
+                seen["cycle"] += 1
+            assert _single_cycle_order(g, mask) == order, (g.adj, mask)
+    assert graphs_run >= 2000
+    assert min(seen.values()) >= 50, seen

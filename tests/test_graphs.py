@@ -15,7 +15,6 @@ from tcfree.graphs import (
     anticomponents,
     bits_list,
     complement,
-    components,
     induced_subgraph,
     is_clique,
     is_proper_coloring,
@@ -68,21 +67,12 @@ def test_induced_subgraph_edges(g, pick):
         assert sub.has_edge(i, j) == g.has_edge(verts[i], verts[j])
 
 
-@given(graphs())
-def test_components_partition(g):
-    comps = components(g)
-    seen = sorted(v for c in comps for v in c)
-    assert seen == list(range(g.n))
-    # no edges between different components
-    for a, b in combinations(comps, 2):
-        assert all(not g.has_edge(u, v) for u in a for v in b)
-
-
-@given(graphs())
-def test_anticomponents_are_complement_components(g):
-    assert sorted(map(sorted, anticomponents(g))) == sorted(
-        map(sorted, components(complement(g)))
-    )
+@given(graphs(), st.integers(0, 2**8 - 1))
+def test_anticomponents_are_complement_components(g, pick):
+    # a random mask, the empty one and the whole graph
+    for mask in (g.full_mask() & pick, 0, g.full_mask()):
+        assert anticomponents(g, mask) == masked_components(complement(g), mask)
+    assert anticomponents(g) == masked_components(complement(g), g.full_mask())
 
 
 @given(graphs())

@@ -45,6 +45,18 @@ def test_round_trip(wg):
     assert back.weights == wg.weights
 
 
+def test_format_writes_fraction_weights_exactly():
+    text = "p 2 0\nw 1 12345678901234567.89\nw 2 -0.000001\n"
+    wg = parse_graph(text)
+    assert format_graph(wg.graph, wg.weights) == text
+    assert parse_graph(format_graph(wg.graph, wg.weights)).weights == wg.weights
+
+
+def test_format_rejects_a_fraction_with_no_finite_decimal():
+    with pytest.raises(ValueError, match="no finite decimal"):
+        format_graph(parse_graph("p 1 0\n").graph, (Fraction(1, 3),))
+
+
 def test_format_skips_unit_weights():
     text = format_graph(parse_graph("p 2 1\ne 1 2\nw 1 3\n").graph, (3, 1))
     assert "w 1 3" in text
