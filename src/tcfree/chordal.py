@@ -150,22 +150,30 @@ def chordal_mwc(wg: WeightedGraph, mask: Optional[int] = None) -> tuple:
 
 def chordal_mwss(wg: WeightedGraph, mask: Optional[int] = None) -> tuple:
     """Maximum weight stable set as (weight, vertices) in the subgraph
-    induced by mask, all of wg's graph when omitted.
+    induced by mask, all of wg's graph when omitted."""
+    if mask is None:
+        mask = wg.graph.full_mask()
+    return _mwss_in_order(wg, _require_order(wg.graph, mask), mask)
 
-    Forward pass over an elimination order charges each vertex's residual
-    weight against its later closed neighborhood and marks the vertices that
-    still carried positive residual; a backward greedy over the marked
-    vertices is then optimal. Nonpositive-weight vertices never help and are
-    ignored up front.
+
+def _mwss_in_order(wg: WeightedGraph, order: tuple[int, ...], mask: int) -> tuple:
+    """chordal_mwss on mask, given a perfect elimination order of a superset
+    of mask; the order restricted to mask is one of mask, so the vertices
+    outside mask are skipped.
+
+    Forward pass over the order charges each vertex's residual weight
+    against its later closed neighborhood and marks the vertices that still
+    carried positive residual; a backward greedy over the marked vertices
+    is then optimal. Nonpositive-weight vertices never help and are ignored
+    up front.
     """
     g, w = wg.graph, wg.weights
-    if mask is None:
-        mask = g.full_mask()
-    order = _require_order(g, mask)
     residual = list(w)
     marked = []
     later = mask
     for v in order:
+        if not later >> v & 1:
+            continue
         later &= ~(1 << v)
         if residual[v] <= 0:
             continue

@@ -20,12 +20,13 @@ scope: maximum clique is NP-hard there and the rest are open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .chordal import (
     _chordal_colors,
+    _mwss_in_order,
+    _require_order,
     chordal_mwc,
     chordal_mwss,
     simplicial_order,
@@ -33,7 +34,6 @@ from .chordal import (
 from .decomposition import (
     DecompositionTree,
     Join,
-    JoinPiece,
     build_tree,
     solve_coloring,
     solve_mwc,
@@ -67,12 +67,11 @@ from .graphs import (
     true_twin_partition,
 )
 from .rings import (
+    _cycle_mwss,
     _single_cycle_order,
-    _hyperhole_colors,
-    hyperhole_mwc,
-    hyperhole_mwss,
     recognize_hyperhole,
     recognize_ring,
+    weighted_cycle_color,
 )
 
 CLASS_IDS = ("gut", "gu", "gt", "gutcap")
@@ -144,8 +143,9 @@ class Recognition:
 # Each class has one leaf function, leaf(g, atom): it runs the class's
 # basic-family test on the atom, a vertex mask of g, raises NotInClassError
 # naming the failing leaf on failure, and otherwise returns the atom's leaf
-# solvers in g's labels: a Join of its anticomponents for gu and gutcap, and
-# for gt a GtAtom, the atom's basic family with its evidence. Anticomponents
+# solvers in g's labels, built from its basic graphs: for gu and gutcap a
+# Join of one Piece per anticomponent, for gt one Piece for the atom. A
+# Piece is the basic family with its evidence, its parts. Anticomponents
 # are masks of g too, so no leaf copies a subgraph; the only copies are the
 # true-twin quotients, one per gt atom and one per gut anticomponent. The
 # recognizer and every solver of the class call it once per atom. gut and
@@ -202,17 +202,128 @@ def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:
     return search
 
 
-def _chordal_piece(mask: int) -> JoinPiece:
-    return JoinPiece(mask, partial(chordal_mwc, mask=mask), chordal_mwss, partial(_chordal_colors, mask=mask))
+# ---------------------------------------------------------------------------
+# basic graphs
 
 
-def _hyperhole_piece(mask: int, parts: list[tuple[int, ...]]) -> JoinPiece:
-    return JoinPiece(
-        mask,
-        partial(hyperhole_mwc, parts=parts),
-        partial(hyperhole_mwss, parts=parts),
-        lambda g: _hyperhole_colors(parts),
-    )
+CLIQUE = "clique"
+CHORDAL = "chordal"
+HYPERHOLE = "hyperhole"
+RING = "ring"
+ANTIHOLE = "antihole"
+
+
+def _heaviest(w: Sequence, mask: int) -> tuple:
+    """The heaviest vertex of positive weight in mask, the least on ties,
+    as a (weight, vertices) answer; weight 0 and no vertex when there is
+    none."""
+    best = 0
+    best_set: frozenset[int] = frozenset()
+    for v in iter_bits(mask):
+        if w[v] > best:
+            best, best_set = w[v], frozenset((v,))
+    return best, best_set
+
+
+def _positive(w: Sequence, mask: int) -> tuple:
+    """The vertices of positive weight in mask and their total weight."""
+    chosen = [v for v in iter_bits(mask) if w[v] > 0]
+    return sum(w[v] for v in chosen), frozenset(chosen)
+
+
+@dataclass(frozen=True)
+class Piece:
+    """A basic graph of a leaf: its family and its evidence, the parts, with
+    the leaf solvers built from them. The parts are vertex masks of the
+    whole graph:
+
+      clique     one part, the clique
+      chordal    one part, the chordal graph
+      hyperhole  k >= 4 clique parts in cyclic order, consecutive parts
+                 complete and the others anticomplete
+      ring       the parts of a good partition, in cyclic order
+      antihole   the seven parts of a 7-hyperantihole in antihole order,
+                 so consecutive parts are anticomplete and the others
+                 complete
+
+    Only the chordal and hyperhole families have a colorer.
+    """
+
+    family: str
+    parts: tuple[int, ...]
+
+    @property
+    def mask(self) -> int:
+        # the parts are disjoint, so their sum is their union
+        return sum(self.parts)
+
+    def mwc(self, wg: WeightedGraph) -> tuple:
+        w, parts = wg.weights, self.parts
+        k = len(parts)
+        if self.family == CLIQUE:
+            return _positive(w, parts[0])
+        if self.family == CHORDAL:
+            return chordal_mwc(wg, mask=parts[0])
+        if self.family == HYPERHOLE:
+            # a clique lies in two consecutive parts, whose union is a clique
+            answers = (_positive(w, parts[i] | parts[(i + 1) % k]) for i in range(k))
+        elif self.family == RING:
+            # parts at cyclic distance two or more are anticomplete, so with
+            # k >= 4 a clique lies in two consecutive parts, whose union is
+            # chordal: nested neighborhoods leave no C4
+            answers = (chordal_mwc(wg, mask=parts[i] | parts[(i + 1) % k]) for i in range(k))
+        else:
+            # the maximal cliques: the 7 triples of pairwise nonconsecutive
+            # parts
+            answers = (_positive(w, parts[i] | parts[(i + 2) % 7] | parts[(i + 4) % 7]) for i in range(7))
+        # a generator, so only the best answer so far stays alive
+        return max(answers, key=itemgetter(0))
+
+    def mwss(self, wg: WeightedGraph, mask: int) -> tuple:
+        g, w, parts = wg.graph, wg.weights, self.parts
+        if self.family == CLIQUE:
+            return _heaviest(w, mask)
+        if self.family == CHORDAL:
+            return chordal_mwss(wg, mask=mask)
+        if self.family == HYPERHOLE:
+            # a stable set holds at most one vertex per part, from parts
+            # stable on the cycle; a part that mask empties weighs 0 and is
+            # never chosen
+            tops = [_heaviest(w, p & mask) for p in parts]
+            value, chosen = _cycle_mwss([top[0] for top in tops])
+            return value, frozenset([v for i in chosen for v in tops[i][1]])
+        if self.family == ANTIHOLE:
+            # a stable set holds at most one vertex from each of two
+            # consecutive parts
+            tops = [_heaviest(w, p & mask) for p in parts]
+            pairs = [(tops[i][0] + tops[i - 1][0], tops[i][1] | tops[i - 1][1]) for i in range(7)]
+            return max(pairs, key=itemgetter(0))
+        # a stable set meets a part at most once, and the ring minus any
+        # whole part is chordal, for every hole of a ring passes through all
+        # its parts; so the optimum either misses the part with the fewest
+        # vertices in mask, or holds one vertex u of it and misses N[u].
+        # N[u] holds u's part, a clique, so every kernel reads a subset of
+        # rest and one elimination order of rest serves them all
+        least = min(parts, key=lambda p: (p & mask).bit_count())
+        rest = mask & ~least
+        order = _require_order(g, rest)
+        best, best_set = _mwss_in_order(wg, order, rest)
+        for u in iter_bits(least & mask):
+            if w[u] > 0:
+                value, chosen = _mwss_in_order(wg, order, rest & ~g.closed_mask(u))
+                if value + w[u] > best:
+                    best, best_set = value + w[u], chosen | {u}
+        return best, best_set
+
+    def color(self, g: Graph) -> tuple[dict[int, int], int]:
+        parts = self.parts
+        if self.family == CHORDAL:
+            return _chordal_colors(g, parts[0])
+        if self.family != HYPERHOLE:
+            raise ValueError(f"no colorer for a {self.family} piece")
+        # each part's weighted cycle color set, handed out over its vertices
+        sets, count = weighted_cycle_color(len(parts), [p.bit_count() for p in parts])
+        return {v: c for part, cs in zip(parts, sets) for v, c in zip(iter_bits(part), cs)}, count
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +418,11 @@ def _gu_leaf(g: Graph, atom: int) -> Join:
     out = []
     for vs, label in pieces:
         if label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            out.append(_hyperhole_piece(mask_of(vs), [(v,) for v in vs]))
+            # parts from a list, as in build_tree: tuple() of a generator
+            # reallocates as it grows, and that churn raises peak memory
+            out.append(Piece(HYPERHOLE, tuple([1 << v for v in vs])))
         else:
-            out.append(_chordal_piece(mask_of(vs)))
+            out.append(Piece(CHORDAL, (mask_of(vs),)))
     return Join(tuple(out))
 
 
@@ -343,85 +456,7 @@ def mwc_mwss_gu(wg: WeightedGraph) -> tuple:
 # gt
 
 
-CLIQUE = "clique"
-RING = "ring"
-ANTIHOLE = "antihole"
-
-
-def _heaviest(w: Sequence, mask: int) -> tuple:
-    """The heaviest vertex of positive weight in mask, the least on ties,
-    as a (weight, vertices) answer; weight 0 and no vertex when there is
-    none."""
-    best = 0
-    best_set: frozenset[int] = frozenset()
-    for v in iter_bits(mask):
-        if w[v] > best:
-            best, best_set = w[v], frozenset((v,))
-    return best, best_set
-
-
-def _positive(w: Sequence, mask: int) -> tuple:
-    """The vertices of positive weight in mask and their total weight."""
-    chosen = [v for v in iter_bits(mask) if w[v] > 0]
-    return sum(w[v] for v in chosen), frozenset(chosen)
-
-
-@dataclass(frozen=True)
-class GtAtom:
-    """A gt atom's basic family and its evidence, with the leaf solvers
-    built from it. The parts are vertex masks of the whole graph:
-
-      clique    one part, the atom
-      ring      the parts of a good partition, in cyclic order
-      antihole  the seven parts of a 7-hyperantihole in antihole order,
-                so consecutive parts are anticomplete and the others
-                complete
-    """
-
-    family: str
-    parts: tuple[int, ...]
-
-    def mwc(self, wg: WeightedGraph) -> tuple:
-        w, parts = wg.weights, self.parts
-        if self.family == CLIQUE:
-            return _positive(w, parts[0])
-        if self.family == RING:
-            # parts at cyclic distance two or more are anticomplete, so with
-            # k >= 4 a clique lies in two consecutive parts, whose union is
-            # chordal: nested neighborhoods leave no C4
-            k = len(parts)
-            answers = [chordal_mwc(wg, mask=parts[i] | parts[(i + 1) % k]) for i in range(k)]
-        else:
-            # the maximal cliques: the 7 triples of pairwise nonconsecutive
-            # parts
-            answers = [_positive(w, parts[i] | parts[(i + 2) % 7] | parts[(i + 4) % 7]) for i in range(7)]
-        return max(answers, key=itemgetter(0))
-
-    def mwss(self, wg: WeightedGraph, mask: int) -> tuple:
-        g, w, parts = wg.graph, wg.weights, self.parts
-        if self.family == CLIQUE:
-            return _heaviest(w, mask)
-        if self.family == ANTIHOLE:
-            # a stable set holds at most one vertex from each of two
-            # consecutive parts
-            tops = [_heaviest(w, p & mask) for p in parts]
-            pairs = [(tops[i][0] + tops[i - 1][0], tops[i][1] | tops[i - 1][1]) for i in range(7)]
-            return max(pairs, key=itemgetter(0))
-        # a stable set meets a part at most once, and the ring minus any
-        # whole part is chordal, for every hole of a ring passes through all
-        # its parts; so the optimum either misses the part with the fewest
-        # vertices in mask, or holds one vertex u of it and misses N[u]
-        least = min(parts, key=lambda p: (p & mask).bit_count())
-        best, best_set = chordal_mwss(wg, mask=mask & ~least)
-        for u in iter_bits(least & mask):
-            if w[u] > 0:
-                value, chosen = chordal_mwss(wg, mask=mask & ~g.closed_mask(u))
-                if value + w[u] > best:
-                    best, best_set = value + w[u], chosen | {u}
-        return best, best_set
-
-
-def _gt_leaf(g: Graph, atom: int) -> GtAtom:
+def _gt_leaf(g: Graph, atom: int) -> Piece:
     """The atom's basic family and evidence. Contracted by true twins, a gt
     atom is a single vertex (the atom is a clique), a ring, or the
     7-antihole (the atom is a 7-hyperantihole). The twin classes come from
@@ -431,14 +466,14 @@ def _gt_leaf(g: Graph, atom: int) -> GtAtom:
     classes, quotient, _ = true_twin_partition(g, atom)
     twins = [mask_of(c) for c in classes]
     if quotient.n == 1:
-        return GtAtom(CLIQUE, (twins[0],))
+        return Piece(CLIQUE, (twins[0],))
     ring = recognize_ring(quotient)
     if ring is not None:
-        return GtAtom(RING, tuple(sum(twins[i] for i in part) for part in ring.parts))
+        return Piece(RING, tuple(sum(twins[i] for i in part) for part in ring.parts))
     if quotient.n == 7:
         order = _single_cycle_order(complement(quotient))
         if order is not None:
-            return GtAtom(ANTIHOLE, tuple(twins[i] for i in order))
+            return Piece(ANTIHOLE, tuple(twins[i] for i in order))
     raise NotInClassError(
         "leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole",
         leaf=frozenset(iter_bits(atom)),
@@ -451,7 +486,7 @@ def recognize_gt(g: Graph) -> Recognition:
 
 def mwc_gt(wg: WeightedGraph) -> tuple:
     """Maximum weight clique for gt: the best answer over the atoms, each
-    atom solved from its basic family (see GtAtom). Every atom gets the
+    atom solved from its basic family (see Piece). Every atom gets the
     recognizer's leaf test, so this rejects exactly what recognize_gt
     rejects."""
     tree, atoms = _leaf_solvers(wg.graph, _gt_leaf)
@@ -474,7 +509,7 @@ def _gutcap_leaf(g: Graph, atom: int) -> Join:
     out = []
     for ac in anticomponents(g, atom):
         if simplicial_order(g, ac) is not None:
-            out.append(_chordal_piece(ac))
+            out.append(Piece(CHORDAL, (ac,)))
             continue
         parts = recognize_hyperhole(g, ac)
         if parts is None or len(parts) < 5:
@@ -483,7 +518,7 @@ def _gutcap_leaf(g: Graph, atom: int) -> Join:
                 leaf=frozenset(iter_bits(atom)),
                 anticomponent=frozenset(iter_bits(ac)),
             )
-        out.append(_hyperhole_piece(ac, parts))
+        out.append(Piece(HYPERHOLE, tuple([mask_of(p) for p in parts])))
     return Join(tuple(out))
 
 

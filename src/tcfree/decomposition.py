@@ -14,8 +14,9 @@ The solvers take one prebuilt leaf solver per leaf, leaves[i] for leaf node
 i, and every leaf solver works in the labels of the whole graph: a clique
 solver answers on its whole atom, a colorer colors the vertices of its atom
 only, and a stable-set solver answers on the subset of its atom named by
-its mask argument. Leaves that are joins of simpler pieces get their leaf
-solvers from Join.
+its mask argument. A leaf that is the join of basic graphs (its
+anticomponents) gets its leaf solvers from Join, which combines the
+pieces' own.
 
 The cutsets come from one minimal triangulation, maximum cardinality search
 with fill edges (MCS-M+, each pick's raises decided by one flood over the
@@ -336,25 +337,15 @@ def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaves: Sequence[Leaf
 
 
 @dataclass(frozen=True)
-class JoinPiece:
-    """One piece of a leaf that is the join of its pieces: its vertex mask
-    and its solvers, which follow the leaf-solver contract on that mask."""
-
-    mask: int
-    mwc: LeafMwcSolver
-    mwss: LeafMwssSolver
-    color: LeafColorer
-
-
-@dataclass(frozen=True)
 class Join:
     """Leaf solvers for a leaf whose pieces, in the order listed, are
-    pairwise complete to each other. A clique takes the best clique of every
-    piece, a stable set lives inside one piece (the first best wins), and no
-    two pieces can share a color, so their palettes are stacked in piece
-    order."""
+    pairwise complete to each other. Each piece has a vertex mask and leaf
+    solvers mwc, mwss and color on it (classes.Piece, a basic graph). A
+    clique takes the best clique of every piece, a stable set lives inside
+    one piece (the first best wins), and no two pieces can share a color,
+    so their palettes are stacked in piece order."""
 
-    pieces: tuple[JoinPiece, ...]
+    pieces: tuple
 
     def mwc(self, wg: WeightedGraph) -> tuple:
         total = 0

@@ -16,9 +16,7 @@ from typing import Optional, Sequence
 from .chordal import is_chordal, simplicial_order
 from .detectors import canonical_cycle
 from .graphs import (
-    Coloring,
     Graph,
-    WeightedGraph,
     complement,
     is_clique_mask,
     iter_bits,
@@ -253,48 +251,6 @@ def weighted_cycle_color(k: int, mults: Sequence[int]) -> tuple[list[tuple[int, 
     return sets, n_colors
 
 
-def _hyperhole_colors(parts: Sequence[Sequence[int]]) -> tuple[dict[int, int], int]:
-    """An optimal coloring of the hyperhole with these parts, as the colors
-    of its vertices and their count: each part's weighted cycle color set
-    distributed over its vertices."""
-    sets, count = weighted_cycle_color(len(parts), [len(p) for p in parts])
-    return {v: c for part, cs in zip(parts, sets) for v, c in zip(part, cs)}, count
-
-
-def hyperhole_color(g: Graph, parts: Optional[list[tuple[int, ...]]] = None) -> Coloring:
-    """Optimal coloring of a hyperhole, its parts found when not given."""
-    if parts is None:
-        parts = recognize_hyperhole(g)
-        if parts is None:
-            raise ValueError("not a hyperhole")
-    colors, count = _hyperhole_colors(parts)
-    out = [0] * g.n
-    for v, c in colors.items():
-        out[v] = c
-    return Coloring(tuple(out), count)
-
-
-def hyperhole_mwc(wg: WeightedGraph, parts: Optional[list[tuple[int, ...]]] = None) -> tuple:
-    """Maximum weight clique of a hyperhole: the positive-weight vertices of
-    the best pair of consecutive parts."""
-    g, w = wg.graph, wg.weights
-    if parts is None:
-        parts = recognize_hyperhole(g)
-        if parts is None:
-            raise ValueError("not a hyperhole")
-    k = len(parts)
-    pos = [[v for v in p if w[v] > 0] for p in parts]
-    psum = [sum(w[v] for v in vs) for vs in pos]
-    best = 0
-    best_set: frozenset[int] = frozenset()
-    for i in range(k):
-        value = psum[i] + psum[(i + 1) % k]
-        if value > best:
-            best = value
-            best_set = frozenset(pos[i]) | frozenset(pos[(i + 1) % k])
-    return best, best_set
-
-
 def _path_mwss(ws: list) -> tuple:
     """Max weight independent set on a path, skipping nonpositive weights;
     returns (value, chosen index set)."""
@@ -335,23 +291,3 @@ def _cycle_mwss(ws: list) -> tuple:
     else:
         cand_b = (0, [])
     return cand_a if cand_a[0] >= cand_b[0] else cand_b
-
-
-def hyperhole_mwss(
-    wg: WeightedGraph, parts: Optional[list[tuple[int, ...]]] = None, mask: Optional[int] = None
-) -> tuple:
-    """Maximum weight stable set of a hyperhole, or of the subgraph that
-    mask induces in it: at most one vertex per part, the chosen parts stable
-    on the underlying cycle. Reduces to the cycle problem over each part's
-    heaviest vertex; a part that mask empties weighs 0 and is never chosen,
-    which leaves the path problem."""
-    g, w = wg.graph, wg.weights
-    if parts is None:
-        parts = recognize_hyperhole(g)
-        if parts is None:
-            raise ValueError("not a hyperhole")
-    if mask is not None:
-        parts = [[v for v in p if mask >> v & 1] for p in parts]
-    reps = [max(p, key=lambda v: (w[v], -v), default=None) for p in parts]
-    value, idxs = _cycle_mwss([0 if r is None else w[r] for r in reps])
-    return value, frozenset(reps[i] for i in idxs)

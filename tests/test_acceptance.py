@@ -13,6 +13,8 @@ from math import comb
 from conftest import rand_graph
 from tcfree.chordal import chordal_color, chordal_mwc, chordal_mwss, simplicial_order
 from tcfree.classes import (
+    HYPERHOLE,
+    Piece,
     color_gu,
     color_gutcap,
     double_star_cutset_from_cap,
@@ -51,6 +53,7 @@ from tcfree.generators import (
     path_graph,
 )
 from tcfree.graphs import (
+    Coloring,
     Graph,
     WeightedGraph,
     induced_subgraph,
@@ -71,7 +74,7 @@ from tcfree.oracles import (
     iter_all_graphs,
     truemper_present,
 )
-from tcfree.rings import recognize_ring, verify_good_partition, weighted_cycle_color
+from tcfree.rings import recognize_hyperhole, recognize_ring, verify_good_partition, weighted_cycle_color
 
 _RECOGNIZERS = {
     "gut": recognize_gut,
@@ -240,9 +243,9 @@ def test_criterion_07_hyperhole_coloring_matches_brute():
 
 
 def hyperhole_color_checked(g):
-    from tcfree.rings import hyperhole_color
-
-    col = hyperhole_color(g)
+    parts = recognize_hyperhole(g)
+    colors, count = Piece(HYPERHOLE, tuple(mask_of(p) for p in parts)).color(g)
+    col = Coloring(tuple(colors[v] for v in range(g.n)), count)
     assert is_proper_coloring(g, col)
     return col
 

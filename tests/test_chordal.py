@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import brute_mwc_set, brute_mwss_set, differential_graphs, graphs, rand_graph
 from tcfree.chordal import (
     NotChordalError,
+    _mwss_in_order,
     chordal_color,
     chordal_mwc,
     chordal_mwss,
@@ -16,6 +17,7 @@ from tcfree.chordal import (
     is_simplicial_order,
     simplicial_order,
 )
+from tcfree.classes import HYPERHOLE, Piece
 from tcfree.generators import cycle_graph, gen_chordal, gen_hyperhole, path_graph
 from tcfree.graphs import (
     Coloring,
@@ -27,9 +29,10 @@ from tcfree.graphs import (
     is_proper_coloring,
     is_stable_set,
     iter_bits,
+    mask_of,
 )
 from tcfree.oracles import brute_alpha_w, brute_chi, brute_omega_w, is_chordal_brute
-from tcfree.rings import hyperhole_mwss, recognize_hyperhole
+from tcfree.rings import recognize_hyperhole
 
 
 def _ref_simplicial_order(g, mask):
@@ -193,27 +196,49 @@ def test_mask_kernels_match_copied_subgraphs():
             colors[v] = c
         assert chordal_color(g, mask=mask) == Coloring(tuple(colors), col.count)
 
-    # hyperhole_mwss on a mask: a hyperhole that keeps a vertex of every part
-    # is solved exactly as its copy with the parts relabelled; one that loses
-    # a whole part is chordal, and the chordal kernel on the copy gives the
-    # same value
+    # a hyperhole Piece's mwss on a mask: a hyperhole that keeps a vertex of
+    # every part is solved exactly as its copy with the parts relabelled; one
+    # that loses a whole part is chordal, and the chordal kernel on the copy
+    # gives the same value
     for trial in range(300):
         k = rng.randrange(4, 8)
         h = gen_hyperhole(0, k, [rng.randrange(1, 4) for _ in range(k)])
         perm = rng.sample(range(h.n), h.n)
         g = Graph(h.n, [(perm[u], perm[v]) for u, v in h.edges()])
         parts = recognize_hyperhole(g)
+        piece = Piece(HYPERHOLE, tuple(mask_of(p) for p in parts))
         wg = WeightedGraph(g, tuple(rng.randrange(-4, 10) for _ in range(g.n)))
         mask = rng.randrange(1, 1 << g.n)
         sub, verts = induced_subgraph(g, bits_list(mask))
         sub_wg = WeightedGraph(sub, tuple(wg.weights[v] for v in verts))
         pos = {v: i for i, v in enumerate(verts)}
         sub_parts = [tuple(pos[v] for v in p if mask >> v & 1) for p in parts]
-        value, chosen = hyperhole_mwss(wg, parts, mask=mask)
+        value, chosen = piece.mwss(wg, mask)
         if all(sub_parts):
-            sub_value, sub_chosen = hyperhole_mwss(sub_wg, sub_parts)
+            sub_value, sub_chosen = Piece(HYPERHOLE, tuple(mask_of(p) for p in sub_parts)).mwss(sub_wg, sub.full_mask())
             assert (value, chosen) == (sub_value, frozenset(verts[i] for i in sub_chosen))
         else:
             assert value == chordal_mwss(sub_wg)[0]
             assert chosen <= set(verts) and is_stable_set(g, chosen)
             assert sum(wg.weights[v] for v in chosen) == value
+
+
+def test_mwss_in_a_superset_order_matches_chordal_mwss():
+    # a perfect elimination order of a chordal graph, restricted to any
+    # subset, is one of that subset: the kernel on a superset's order
+    # answers the subset's problem and chooses nothing outside it
+    rng = random.Random(2100)
+    for trial in range(400):
+        n = rng.randrange(1, 21)
+        g = gen_chordal(rng.randrange(2**30), n, rng.random())
+        sup = rng.randrange(1 << n)
+        order = simplicial_order(g, sup)
+        wg = WeightedGraph(g, tuple(rng.randrange(-4, 10) for _ in range(n)))
+        for sub in (sup, 0, sup & rng.randrange(1 << n), sup & rng.randrange(1 << n)):
+            value, chosen = _mwss_in_order(wg, order, sub)
+            assert mask_of(chosen) & ~sub == 0 and is_stable_set(g, chosen), (trial, sub)
+            assert sum(wg.weights[v] for v in chosen) == value
+            assert value == chordal_mwss(wg, mask=sub)[0], (trial, g.adj, sub)
+            if sub:
+                sub_g, verts = induced_subgraph(g, bits_list(sub))
+                assert value == brute_alpha_w(WeightedGraph(sub_g, tuple(wg.weights[v] for v in verts))), (trial, sub)

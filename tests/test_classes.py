@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -73,6 +74,7 @@ from tcfree.graphs import (
     complement,
     induced_subgraph,
     is_clique,
+    is_clique_mask,
     is_proper_coloring,
     is_stable_set,
     iter_bits,
@@ -623,7 +625,7 @@ def _ref_recognize_bu_h(g):
 
 
 def _ref_gu_leaf(g, atom):
-    """The leaf's Join pieces as (mask, hyperhole parts or None)."""
+    """The leaf's Join pieces as (family, parts)."""
     sub, verts = induced_subgraph(g, atom)
     pieces = _ref_recognize_bu_h(sub)
     if pieces is None:
@@ -633,23 +635,22 @@ def _ref_gu_leaf(g, atom):
         )
     out = []
     for vs, label in pieces:
-        mask = mask_of(verts[i] for i in vs)
         if label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            out.append((mask, [(verts[i],) for i in vs]))
+            out.append((classes.HYPERHOLE, tuple(1 << verts[i] for i in vs)))
         else:
-            out.append((mask, None))
+            out.append((classes.CHORDAL, (mask_of(verts[i] for i in vs),)))
     return out
 
 
 def _ref_gutcap_leaf(g, atom):
-    """The leaf's Join pieces as (mask, hyperhole parts or None)."""
+    """The leaf's Join pieces as (family, parts)."""
     sub, verts = induced_subgraph(g, atom)
     out = []
     for ac in _ref_anticomponents(sub):
         h, hverts = induced_subgraph(sub, ac)
         mask = mask_of(verts[i] for i in hverts)
         if is_chordal(h):
-            out.append((mask, None))
+            out.append((classes.CHORDAL, (mask,)))
             continue
         parts = recognize_hyperhole(h)
         if parts is None or len(parts) < 5:
@@ -658,21 +659,20 @@ def _ref_gutcap_leaf(g, atom):
                 leaf=frozenset(verts),
                 anticomponent=frozenset(verts[i] for i in ac),
             )
-        out.append((mask, [tuple(verts[hverts[i]] for i in p) for p in parts]))
+        out.append((classes.HYPERHOLE, tuple(mask_of(verts[hverts[i]] for i in p) for p in parts)))
     return out
 
 
 def _outcome(leaf, g, atom):
     """What a leaf test answers: its rejection with reason, leaf and
-    anticomponent, or its Join as (mask, hyperhole parts or None) per
-    piece."""
+    anticomponent, or its Join as (family, parts) per piece."""
     try:
         got = leaf(g, atom)
     except NotInClassError as exc:
         return "rejected", str(exc), exc.leaf, exc.anticomponent
     if got is None or isinstance(got, list):
         return "accepted", got
-    return "accepted", [(piece.mask, piece.mwc.keywords.get("parts")) for piece in got.pieces]
+    return "accepted", [(piece.family, piece.parts) for piece in got.pieces]
 
 
 def _leaf_differential_graphs(rng):
@@ -714,7 +714,7 @@ def test_mask_leaf_tests_match_copy_based_references():
                 if got[0] == "rejected":
                     seen["rejected-ac" if got[3] is not None else "rejected-leaf"] += 1
                 else:
-                    seen["hyperhole-piece"] += sum(parts is not None for _, parts in got[1] or ())
+                    seen["hyperhole-piece"] += sum(family == classes.HYPERHOLE for family, _ in got[1] or ())
             sub, verts = induced_subgraph(g, atom)
             pieces = _ref_recognize_bu_h(sub)
             if pieces is not None:
@@ -735,3 +735,74 @@ def test_mask_leaf_tests_match_copy_based_references():
             assert _single_cycle_order(g, mask) == order, (g.adj, mask)
     assert graphs_run >= 2000
     assert min(seen.values()) >= 50, seen
+
+
+def _complete(g, a, b):
+    return all(b & ~g.adj[v] == 0 for v in iter_bits(a))
+
+
+def _anticomplete(g, a, b):
+    return all(g.adj[v] & b == 0 for v in iter_bits(a))
+
+
+def _check_piece(g, piece):
+    """Check a piece's evidence against its family from the graph alone."""
+    parts = piece.parts
+    k = len(parts)
+    if piece.family in (classes.CLIQUE, classes.CHORDAL):
+        assert k == 1
+        if piece.family == classes.CLIQUE:
+            assert is_clique_mask(g, parts[0])
+        else:
+            assert simplicial_order(g, parts[0]) is not None
+    elif piece.family == classes.RING:
+        sub, verts = induced_subgraph(g, bits_list(piece.mask))
+        pos = {v: i for i, v in enumerate(verts)}
+        assert verify_good_partition(sub, [[pos[v] for v in iter_bits(p)] for p in parts])
+    else:
+        # hyperhole: consecutive parts complete, the others anticomplete;
+        # antihole: the other way round
+        assert k >= 5 if piece.family == classes.HYPERHOLE else k == 7, piece.family
+        assert all(is_clique_mask(g, p) for p in parts)
+        near, far = (_complete, _anticomplete) if piece.family == classes.HYPERHOLE else (_anticomplete, _complete)
+        for i in range(k):
+            for j in range(i + 1, k):
+                assert (near if j - i in (1, k - 1) else far)(g, parts[i], parts[j]), (piece, i, j)
+
+
+def test_leaf_pieces_carry_their_evidence():
+    # every piece the gu, gt and gutcap leaf tests return is checked without
+    # the classes' solvers: the parts are nonempty and disjoint, the pieces
+    # partition the atom and are complete to each other, and each family's
+    # structure holds
+    rng = random.Random(2000)
+    members = (
+        (g, [mask_of(node.vertices) for node in build_tree(g).leaves()])
+        for g in (gen_class_member(seed, cls, pieces=4, max_n=40) for seed in range(60) for cls in ("gu", "gt", "gutcap"))
+    )
+    seen = Counter()
+    for g, masks in list(_leaf_differential_graphs(rng)) + list(members):
+        for atom in masks:
+            for leaf in (classes._gu_leaf, classes._gt_leaf, classes._gutcap_leaf):
+                try:
+                    got = leaf(g, atom)
+                except NotInClassError:
+                    continue
+                pieces = got.pieces if isinstance(got, decomposition.Join) else (got,)
+                union = 0
+                for piece in pieces:
+                    whole = 0
+                    for part in piece.parts:
+                        assert part and whole & part == 0, piece
+                        whole |= part
+                    assert piece.mask == whole and union & whole == 0, (leaf.__name__, g.adj, atom)
+                    union |= whole
+                    _check_piece(g, piece)
+                    seen[leaf.__name__, piece.family] += 1
+                assert union == atom, (leaf.__name__, g.adj, atom)
+                for i, a in enumerate(pieces):
+                    for b in pieces[i + 1 :]:
+                        assert _complete(g, a.mask, b.mask), (leaf.__name__, g.adj, atom)
+    # chordal and hyperhole pieces from gu and gutcap; cliques, rings and
+    # antiholes from gt
+    assert len(seen) == 7 and min(seen.values()) >= 50, seen

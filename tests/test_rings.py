@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from tcfree.chordal import is_chordal
+from tcfree.classes import HYPERHOLE, Piece
 from tcfree.detectors import PROPER_WHEEL, PRISM, PYRAMID, THETA, UNIVERSAL_WHEEL, find_cap
 from tcfree.generators import (
     complete_graph,
@@ -17,7 +18,7 @@ from tcfree.generators import (
     gen_ring,
     path_graph,
 )
-from tcfree.graphs import Graph, WeightedGraph, induced_subgraph, is_proper_coloring
+from tcfree.graphs import Coloring, Graph, WeightedGraph, induced_subgraph, is_proper_coloring, mask_of
 from tcfree.oracles import (
     brute_alpha_w,
     brute_chi,
@@ -29,9 +30,6 @@ from tcfree.oracles import (
 )
 from tcfree.rings import (
     _single_cycle_order,
-    hyperhole_color,
-    hyperhole_mwc,
-    hyperhole_mwss,
     recognize_hyperantihole,
     recognize_hyperhole,
     recognize_ring,
@@ -192,22 +190,22 @@ def test_weighted_cycle_color_validation():
         weighted_cycle_color(4, (1, 1, 1))
 
 
+def _hyperhole_piece(g: Graph) -> Piece:
+    return Piece(HYPERHOLE, tuple(mask_of(p) for p in recognize_hyperhole(g)))
+
+
 @given(st.integers(0, 2**30), st.integers(4, 6), st.data())
 def test_hyperhole_color_optimal_and_bounded(seed, k, data):
     sizes = [data.draw(st.integers(1, 2)) for _ in range(k)]
     g = gen_hyperhole(seed, k, sizes)
     if g.n > 10:
         return
-    col = hyperhole_color(g)
+    colors, count = _hyperhole_piece(g).color(g)
+    col = Coloring(tuple(colors[v] for v in range(g.n)), count)
     assert is_proper_coloring(g, col)
     assert col.count == brute_chi(g)
     omega = brute_omega_w(WeightedGraph(g, (1,) * g.n))
     assert col.count <= 3 * omega // 2
-
-
-def test_hyperhole_color_requires_hyperhole():
-    with pytest.raises(ValueError, match="not a hyperhole"):
-        hyperhole_color(path_graph(4))
 
 
 @given(st.integers(0, 2**30), st.integers(4, 6), st.data())
@@ -216,9 +214,10 @@ def test_hyperhole_mwc_mwss_match_brute(seed, k, data):
     g = gen_hyperhole(seed, k, sizes)
     ws = tuple(data.draw(st.integers(-4, 9)) for _ in range(g.n))
     wg = WeightedGraph(g, ws)
-    value, clique = hyperhole_mwc(wg)
+    piece = _hyperhole_piece(g)
+    value, clique = piece.mwc(wg)
     assert value == brute_omega_w(wg)
     assert sum(ws[v] for v in clique) == value
-    value, stable = hyperhole_mwss(wg)
+    value, stable = piece.mwss(wg, g.full_mask())
     assert value == brute_alpha_w(wg)
     assert sum(ws[v] for v in stable) == value
