@@ -159,7 +159,7 @@ def _recognize_leaves(g: Graph, leaf: Callable, global_test: Optional[Callable] 
         if global_test is not None:
             global_test(g)
         for node in build_tree(g).leaves():
-            leaf(g, mask_of(node.vertices))
+            leaf(g, node.mask)
     except NotInClassError as exc:
         return Recognition(False, exc.certificate, str(exc), exc.leaf, exc.anticomponent)
     return Recognition(True)
@@ -171,7 +171,7 @@ def _leaf_solvers(g: Graph, leaf: Callable, global_test: Optional[Callable] = No
     if global_test is not None:
         global_test(g)
     tree = build_tree(g)
-    return tree, [leaf(g, mask_of(node.vertices)) for node in tree.leaves()]
+    return tree, [leaf(g, node.mask) for node in tree.leaves()]
 
 
 def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:

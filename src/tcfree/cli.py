@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -177,21 +178,23 @@ def _node_list(texts) -> str:
 
 def _write_tree(tree: DecompositionTree, n: int) -> None:
     """Write the tree as json.dumps(sort_keys=True, indent=2) wrote its
-    {"nodes": [...], "root": ...} dict, with 1-based vertex labels. Each
-    label is made once per request and each node's lists are joined in C;
-    every node is written as soon as it is built, so the Theta(n^2) text of
-    the chain is never held whole."""
-    label = [str(v + 1) for v in range(n)].__getitem__
+    {"nodes": [...], "root": ...} dict, in 1-based labels made once. Each
+    node's labels are picked from its mask and joined in C, and each node is
+    written as built, so the Theta(n^2) text of a chain is never held whole."""
+    labels = [str(v + 1) for v in range(n)]
+    # bin(mask) reversed less its "0b", as bytes 0 and 1: a selector per vertex
+    bit = bytes.maketrans(b"01", b"\x00\x01")
     write = sys.stdout.write
     write('{\n  "nodes": [')
     sep = "\n"
     for node in tree.nodes:
-        cutset = "null" if node.cutset is None else _node_list(map(label, node.cutset))
+        cutset = "null" if node.cutset is None else _node_list(map(labels.__getitem__, node.cutset))
+        vertices = compress(labels, bin(node.mask)[:1:-1].encode().translate(bit))
         write(
             f'{sep}    {{\n      "children": {_node_list(map(str, node.children))},'
             f'\n      "cutset": {cutset},\n      "id": {node.id},'
             f'\n      "kind": "{node.kind}",'
-            f'\n      "vertices": {_node_list(map(label, node.vertices))}\n    }}'
+            f'\n      "vertices": {_node_list(vertices)}\n    }}'
         )
         sep = ",\n"
     write(f'\n  ],\n  "root": {tree.root}\n}}\n')

@@ -7,8 +7,8 @@ build_tree splits them off one at a time, which gives a chain-shaped tree
 whose leaves are exactly the atoms and whose answers combine: coloring by
 palette permutation across the cutset, maximum weight clique by taking the
 best leaf, maximum weight stable set by reweighting the cutset with its
-marginal value against the A side. build_tree computes the tree once; the
-three solvers walk it.
+marginal value against the A side. build_tree computes the tree once, each
+node's vertex set a mask, and the three solvers walk it reading the masks.
 
 The solvers take one prebuilt leaf solver per leaf, leaves[i] for leaf node
 i, and every leaf solver works in the labels of the whole graph: a clique
@@ -30,7 +30,7 @@ vertex whose weight did not grow past the previous pick's (Tarjan,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .graphs import (
     Coloring,
@@ -41,7 +41,6 @@ from .graphs import (
     is_clique,
     is_clique_mask,
     iter_bits,
-    mask_of,
 )
 
 LeafMwcSolver = Callable[[WeightedGraph], tuple]
@@ -125,8 +124,10 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
             while frontier:
                 flood |= frontier
                 grow = 0
-                for u in iter_bits(frontier):
-                    grow |= adj[u]
+                while frontier:
+                    b = frontier & -frontier
+                    grow |= adj[b.bit_length() - 1]
+                    frontier ^= b
                 touch |= grow & unnumbered
                 frontier = grow & walked & ~flood
         if level[top + 1]:
@@ -141,17 +142,22 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
     return list(reversed(selection)), fills, generators
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
+    """A node of a build_tree chain, its vertex set a mask: an atom, or an
+    internal node with its cutset in increasing order and children (atom, rest)."""
+
     id: int
     kind: str  # "leaf" or "internal"
-    vertices: tuple[int, ...]
+    mask: int
     cutset: Optional[tuple[int, ...]]
     children: tuple[int, ...]
 
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(bits_list(self.mask))
 
-@dataclass(frozen=True)
-class DecompositionTree:
+
+class DecompositionTree(NamedTuple):
     nodes: tuple[TreeNode, ...]
     root: int
 
@@ -181,7 +187,7 @@ def build_tree(g: Graph) -> DecompositionTree:
     rest = g.full_mask()
     order, fills, generators = _mcsm(g, rest)
     leaves: list[int] = []
-    splits: list[tuple[int, int]] = []
+    cutsets: list[int] = []
     later = rest
     for v in order:
         later &= ~(1 << v)
@@ -192,28 +198,22 @@ def build_tree(g: Graph) -> DecompositionTree:
             continue
         comp = component_of(g, v, rest & ~cutset)
         leaves.append(comp | cutset)
-        splits.append((comp, cutset))
+        cutsets.append(cutset)
         rest &= ~comp
     leaves.append(rest)
-    # vertex tuples are made from lists: tuple() of a generator reallocates
-    # the tuple as it grows, and over many requests that churn fragments the
-    # heap and raises peak memory
-    nodes = [TreeNode(i, "leaf", tuple(bits_list(m)), None, ()) for i, m in enumerate(leaves)]
+    nodes = [TreeNode(i, "leaf", m, None, ()) for i, m in enumerate(leaves)]
     child = len(leaves) - 1
-    for i in reversed(range(len(splits))):
-        # a chain node holds its inner child's vertices plus the component
-        # its split removes; sorting the two sorted runs merges them in C,
-        # so only the component's bits are expanded in Python
-        comp, cutset = splits[i]
-        vertices = tuple(sorted(nodes[child].vertices + tuple(bits_list(comp))))
-        nodes.append(TreeNode(len(nodes), "internal", vertices, tuple(bits_list(cutset)), (i, child)))
+    for i in reversed(range(len(cutsets))):
+        rest |= leaves[i]
+        # from a list: tuple() of a generator regrows, and that churn raises peak memory
+        nodes.append(TreeNode(len(nodes), "internal", rest, tuple(bits_list(cutsets[i])), (i, child)))
         child = len(nodes) - 1
     return DecompositionTree(tuple(nodes), child)
 
 
 def atom_masks(g: Graph) -> list[int]:
     """Vertex masks of the atoms, in the order build_tree lists them."""
-    return [mask_of(nd.vertices) for nd in build_tree(g).leaves()]
+    return [nd.mask for nd in build_tree(g).leaves()]
 
 
 def glue(g1: Graph, g2: Graph, clique1: Sequence[int], clique2: Sequence[int]) -> Graph:
@@ -297,28 +297,26 @@ def solve_mwss(wg: WeightedGraph, tree: DecompositionTree, leaves: Sequence[Leaf
     A-side witness. Cutset vertices whose marginal value is zero are dropped
     from the returned set so they never constrain the A side for nothing.
     The chain is walked down to reweight and back up to complete; the atom's
-    leaf solver answers for A and for A minus N(c) by mask, on one weighted
-    graph per internal node.
+    leaf solver answers for A and for A minus N(c) by mask. One copy of the
+    weights serves the walk: each marginal overwrites its cutset vertex's
+    weight once computed, which no later call on A reads, A excluding C.
     """
     g = wg.graph
     internal, last = _chain(tree)
+    weights = list(wg.weights)
+    wg = WeightedGraph(g, weights)
     sides = []
     for node in internal:
         leaf = leaves[node.children[0]]
-        c = mask_of(node.cutset)
-        a = mask_of(tree.node(node.children[0]).vertices) & ~c
+        a = tree.node(node.children[0]).mask & ~tree.node(node.children[1]).mask
         alpha_a, wit_a = leaf(wg, mask=a)
-        new_weights = list(wg.weights)
         gain: dict[int, tuple] = {}
         for cv in node.cutset:
             with_cv, wit_cv = leaf(wg, mask=a & ~g.adj[cv])
-            with_cv += wg.weights[cv]
-            marginal = with_cv - alpha_a
+            weights[cv] = marginal = with_cv + weights[cv] - alpha_a
             gain[cv] = (marginal, wit_cv)
-            new_weights[cv] = marginal
         sides.append((alpha_a, wit_a, gain))
-        wg = WeightedGraph(g, tuple(new_weights))
-    value, found = leaves[last.id](wg, mask=mask_of(last.vertices))
+    value, found = leaves[last.id](wg, mask=last.mask)
     chosen = set(found)
     for alpha_a, wit_a, gain in reversed(sides):
         # a stable set meets the cutset clique in at most one vertex, so the

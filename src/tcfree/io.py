@@ -56,29 +56,11 @@ def parse_graph(text: str) -> WeightedGraph:
     weighted: set[int] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks:
             continue
-        toks = line.split()
         tag = toks[0]
-        if tag == "p":
-            if n is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(toks) != 3:
-                raise ParseError(f"line {lineno}: header must be 'p <n> <m>'")
-            try:
-                n, m = int(toks[1]), int(toks[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: header needs integers") from None
-            if n < 1 or m < 0:
-                raise ParseError(f"line {lineno}: need n >= 1 and m >= 0")
-            if n > MAX_VERTICES:
-                raise ParseError(f"line {lineno}: header announced {n} vertices, more than the limit of {MAX_VERTICES}")
-            if m > n * (n - 1) // 2:
-                raise ParseError(f"line {lineno}: header announced {m} edges, more than {n} vertices can hold")
-            adj = [0] * n
-            weights = [1] * n
-        elif tag == "e":
+        if tag == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before header")
             if len(toks) != 3:
@@ -112,7 +94,24 @@ def parse_graph(text: str) -> WeightedGraph:
                 raise ParseError(f"line {lineno}: duplicate weight for vertex {v}")
             weighted.add(v)
             weights[v - 1] = _parse_weight(toks[2], lineno)
-        else:
+        elif tag == "p":
+            if n is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if len(toks) != 3:
+                raise ParseError(f"line {lineno}: header must be 'p <n> <m>'")
+            try:
+                n, m = int(toks[1]), int(toks[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: header needs integers") from None
+            if n < 1 or m < 0:
+                raise ParseError(f"line {lineno}: need n >= 1 and m >= 0")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: header announced {n} vertices, more than the limit of {MAX_VERTICES}")
+            if m > n * (n - 1) // 2:
+                raise ParseError(f"line {lineno}: header announced {m} edges, more than {n} vertices can hold")
+            adj = [0] * n
+            weights = [1] * n
+        elif tag[0] != "#":
             raise ParseError(f"line {lineno}: unknown record {tag!r}")
 
     if n is None:

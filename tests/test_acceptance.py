@@ -7,6 +7,7 @@ desk scale. One pass/fail line per criterion under pytest -v.
 import json
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -374,3 +375,16 @@ def test_leaf_colorers_color_their_atom_only():
     # cheap as the clique solver on the same tree, not quadratic
     path = path_graph(4000)
     assert _best_of(3, color_gu, path) < 1.5 * _best_of(3, mwc_gu, _unit(path))
+
+
+def test_recognizing_a_long_path_keeps_no_quadratic_tree():
+    # the 3999 chain nodes of a 4000-vertex path hold masks, not vertex
+    # tuples: the tuples peaked at 71 MB, the masks at about 6 MB
+    path = path_graph(4000)
+    tracemalloc.start()
+    try:
+        assert recognize_gu(path).member
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak

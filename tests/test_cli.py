@@ -394,6 +394,11 @@ def _tree_payload(tree):
     return {"root": tree.root, "nodes": nodes}
 
 
+def _relabelled(g, rng):
+    perm = rng.sample(range(g.n), g.n)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_decompose_writes_the_json_dumps_text(tmp_path, capsys):
     graphs = [
         Graph(1, []),
@@ -405,6 +410,10 @@ def test_decompose_writes_the_json_dumps_text(tmp_path, capsys):
         gen_class_member(1, "gt", pieces=3, max_n=30),
         gen_class_member(2, "gt", pieces=3, max_n=30),
         path_graph(200),
+        # chain masks with gaps, and masks shorter than n: the writer picks
+        # labels from each mask's bits
+        _relabelled(gen_class_member(3, "gu", pieces=4, max_n=40), random.Random(5)),
+        Graph(9, list(path_graph(5).edges())),
     ]
     texts = []
     for g in graphs:

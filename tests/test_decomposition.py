@@ -169,12 +169,12 @@ def _ref_build_tree(g):
     def rec(mask):
         cut = _ref_extreme_cut_in_mask(g, mask)
         if cut is None:
-            nodes.append(TreeNode(len(nodes), "leaf", tuple(iter_bits(mask)), None, ()))
+            nodes.append(TreeNode(len(nodes), "leaf", mask, None, ()))
             return len(nodes) - 1
         a, b, c = cut
         left = rec(a | c)
         right = rec(b | c)
-        nodes.append(TreeNode(len(nodes), "internal", tuple(iter_bits(mask)), tuple(iter_bits(c)), (left, right)))
+        nodes.append(TreeNode(len(nodes), "internal", mask, tuple(iter_bits(c)), (left, right)))
         return len(nodes) - 1
 
     root = rec(g.full_mask())
@@ -185,17 +185,17 @@ def test_build_tree_leaves_are_the_reference_maximal_leaves():
     for g, chordal in differential_graphs():
         tree = build_tree(g)
         ref = _ref_build_tree(g)
-        leaves = [mask_of(nd.vertices) for nd in tree.leaves()]
-        ref_leaves = {mask_of(nd.vertices) for nd in ref.leaves()}
+        leaves = [nd.mask for nd in tree.leaves()]
+        ref_leaves = {nd.mask for nd in ref.leaves()}
         maximal = {m for m in ref_leaves if not any(m != o and m & ~o == 0 for o in ref_leaves)}
         assert len(set(leaves)) == len(leaves), g.adj
         assert set(leaves) == maximal, g.adj
         for node in tree.nodes:
             if node.kind == "leaf":
                 continue
-            kids = [tree.node(i).vertices for i in node.children]
-            assert node.vertices == tuple(sorted({*kids[0], *kids[1]})), g.adj
-            atom, rest = map(mask_of, kids)
+            atom, rest = (tree.node(i).mask for i in node.children)
+            assert node.mask == atom | rest, g.adj
+            assert node.vertices == tuple(iter_bits(node.mask))
             c = mask_of(node.cutset)
             assert atom & rest == c
             a, b = atom & ~c, rest & ~c
@@ -316,7 +316,7 @@ def _exact_mwss_leaves(tree, brute=brute_mwss_set):
 
         return solve
 
-    return [leaf(mask_of(nd.vertices)) for nd in tree.leaves()]
+    return [leaf(nd.mask) for nd in tree.leaves()]
 
 
 def _exact_color_leaves(tree):

@@ -23,6 +23,24 @@ def test_parse_weights_and_comments():
     assert wg.weights == (1, 5, 2.5)
 
 
+def test_parse_reads_indented_comments_tabs_and_crlf():
+    plain = parse_graph("p 3 2\ne 1 2\ne 2 3\nw 3 4\n")
+    for text in (
+        "   # c\np 3 2\n\t# c\ne 1 2\n  e 2 3\nw 3 4\n",
+        "p\t3\t2\ne\t1 2\ne 2\t3\nw\t3\t4\n",
+        "#c\r\np 3 2\r\ne 1 2\r\n\r\ne 2 3\r\nw 3 4\r\n",
+    ):
+        wg = parse_graph(text)
+        assert (wg.graph, wg.weights) == (plain.graph, plain.weights)
+
+
+def test_parse_error_lines_count_blank_and_comment_lines():
+    with pytest.raises(ParseError, match="^line 5: self-loop"):
+        parse_graph("# c\n\np 2 1\n   # c\ne 1 1\n")
+    with pytest.raises(ParseError, match="^line 4: unknown record 'q'"):
+        parse_graph("p 2 0\r\n\r\n#\r\nq 1\r\n")
+
+
 def test_decimal_weights_are_exact():
     wg = parse_graph("p 3 0\nw 1 0.1\nw 2 -2.75\nw 3 1.5e3\n")
     assert wg.weights == (Fraction(1, 10), Fraction(-11, 4), 1500)
@@ -78,6 +96,10 @@ def test_format_skips_unit_weights():
         ("p 2 0\nw 3 1\n", "out of range"),
         ("w 1 2\n", "weight before header"),
         ("p 2 1\ne 1\n", "edge must be"),
+        ("p 2 1\ne 1 2 3\n", "edge must be"),
+        ("p 2 1\ne 1 x\n", "edge needs integers"),
+        ("p 2\n", "header must be"),
+        ("p a 1\n", "header needs integers"),
         ("p 2 0\nw 1 abc\n", "cannot parse weight"),
         ("p 2 0\nw 1 nan\n", "not a finite number"),
         ("p 2 0\nw 1 -inf\n", "not a finite number"),
