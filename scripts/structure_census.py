@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Decompose generated class members and report what the leaf atoms are.
+"""Decompose generated class members and count the basic graphs of their atoms.
 
-Members of the four classes decompose along clique cutsets into atoms that
-should land in a small list of basic shapes. The census generates seeded
-members, builds the decomposition tree for each, classifies every leaf atom
-(complete, chordal, hyperhole, ring, hyperantihole, other), and prints a
-table per class along with tree size statistics.
+Members of the four classes decompose along clique cutsets into atoms, and
+each atom is a basic graph or a join of basic graphs. The census generates
+seeded members, builds the decomposition tree for each, and runs the
+class's own leaf function on every atom: the pieces it returns are the
+atom's basic graphs. It prints a table per class with tree size statistics
+and one column per piece family (classes.Piece): how many pieces of that
+family the atoms held. A gu, gutcap or gut atom gives one piece per
+anticomponent, a gt atom one piece.
 
-Two expectations to check in the output: the chordal column stays zero,
-because a chordal atom without a clique cutset is necessarily complete; and
-"other" atoms appear only for the join-based basic families (joins of
-holes, cliques, and small pieces have no clique cutset but are none of the
-listed shapes). Pass --show-other to print one such atom per class.
+Expectations to check in the output: each class shows only its own
+families (gt: clique, ring, antihole, one piece per leaf; gu and gutcap:
+chordal and hyperhole; gut: clique for each single-vertex anticomponent,
+then ring, long-hole-free and alpha2, the first test that passes). A
+member whose leaf test fails raises NotInClassError, which would be a
+generator or recognizer bug.
 
 Example:
     python scripts/structure_census.py --trials 200 --max-n 13
@@ -27,12 +31,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tcfree.chordal import simplicial_order
-from tcfree.decomposition import build_tree
+from tcfree import classes
+from tcfree.decomposition import Join, build_tree
 from tcfree.generators import gen_class_member
-from tcfree.graphs import Graph, induced_subgraph
-from tcfree.io import format_graph
-from tcfree.rings import recognize_hyperantihole, recognize_hyperhole, recognize_ring
+
+LEAVES = {"gut": classes._gut_leaf, "gu": classes._gu_leaf, "gt": classes._gt_leaf, "gutcap": classes._gutcap_leaf}
+FAMILIES = (
+    classes.CLIQUE,
+    classes.CHORDAL,
+    classes.HYPERHOLE,
+    classes.RING,
+    classes.ANTIHOLE,
+    classes.LONG_HOLE_FREE,
+    classes.ALPHA2,
+)
 
 
 @dataclass(frozen=True)
@@ -43,38 +55,21 @@ class CensusConfig:
     pieces: int = 3
 
 
-def classify_atom(g: Graph) -> str:
-    if all(g.has_edge(u, v) for u in range(g.n) for v in range(u + 1, g.n)):
-        return "complete"
-    if simplicial_order(g) is not None:
-        return "chordal"
-    if recognize_hyperhole(g) is not None:
-        return "hyperhole"
-    if recognize_ring(g) is not None:
-        return "ring"
-    if recognize_hyperantihole(g) is not None:
-        return "hyperantihole"
-    return "other"
-
-
-def census(cls: str, cfg: CensusConfig) -> tuple[Counter, Counter, Graph | None]:
-    kinds: Counter = Counter()
+def census(cls: str, cfg: CensusConfig) -> tuple[Counter, Counter]:
+    families: Counter = Counter()
     tree_stats: Counter = Counter()
-    example_other = None
+    leaf = LEAVES[cls]
     for index in range(cfg.trials):
         g = gen_class_member(cfg.seed + index, cls, pieces=cfg.pieces, max_n=cfg.max_n)
         tree = build_tree(g)
-        leaves = [node for node in tree.nodes if node.kind == "leaf"]
+        leaves = tree.leaves()
         tree_stats["trees"] += 1
         tree_stats["nodes"] += len(tree.nodes)
         tree_stats["leaves"] += len(leaves)
         for node in leaves:
-            atom, _ = induced_subgraph(g, node.vertices)
-            kind = classify_atom(atom)
-            kinds[kind] += 1
-            if kind == "other" and example_other is None:
-                example_other = atom
-    return kinds, tree_stats, example_other
+            got = leaf(g, node.mask)
+            families.update(piece.family for piece in (got.pieces if isinstance(got, Join) else (got,)))
+    return families, tree_stats
 
 
 def main(argv=None) -> int:
@@ -83,24 +78,15 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=13)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pieces", type=int, default=3)
-    parser.add_argument("--show-other", action="store_true", help="print one 'other' atom per class")
     args = parser.parse_args(argv)
     cfg = CensusConfig(trials=args.trials, max_n=args.max_n, seed=args.seed, pieces=args.pieces)
 
-    order = ("complete", "chordal", "hyperhole", "ring", "hyperantihole", "other")
-    header = f"{'class':<8} {'trees':>5} {'nodes':>6} {'leaves':>6}  " + "".join(
-        f"{k:>14}" for k in order
-    )
+    header = f"{'class':<8} {'trees':>5} {'nodes':>6} {'leaves':>6}  " + "".join(f"{k:>15}" for k in FAMILIES)
     print(header)
-    for cls in ("gut", "gu", "gt", "gutcap"):
-        kinds, stats, example = census(cls, cfg)
-        per_leaf = "".join(f"{kinds.get(k, 0):>14}" for k in order)
-        print(
-            f"{cls:<8} {stats['trees']:>5} {stats['nodes']:>6} {stats['leaves']:>6}  {per_leaf}"
-        )
-        if args.show_other and example is not None:
-            print(f"-- one 'other' atom from {cls} --")
-            sys.stdout.write(format_graph(example))
+    for cls in LEAVES:
+        families, stats = census(cls, cfg)
+        per_family = "".join(f"{families.get(k, 0):>15}" for k in FAMILIES)
+        print(f"{cls:<8} {stats['trees']:>5} {stats['nodes']:>6} {stats['leaves']:>6}  {per_family}")
     return 0
 
 

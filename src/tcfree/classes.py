@@ -86,14 +86,6 @@ CHI_BOUNDS: dict[str, tuple[str, Callable[[int], int]]] = {
     "hyperantihole7": ("floor(4 * omega / 3)", lambda omega: 4 * omega // 3),
 }
 
-# Anticomponent labels reported by recognize_bu_h.
-BUH_K1 = "K1"
-BUH_K2BAR = "K2bar"
-BUH_ODD_HOLE = "odd-long-hole"
-BUH_EVEN_HOLE = "even-long-hole"
-BUH_PATHS = "path-union"
-
-
 class NotInClassError(ValueError):
     """The input lies outside the class: a concrete obstruction, or the
     decomposition leaf (and when applicable its anticomponent) that failed
@@ -140,14 +132,16 @@ class Recognition:
         return out
 
 
-# Each class has one leaf function, leaf(g, atom): it runs the class's
-# basic-family test on the atom, a vertex mask of g, raises NotInClassError
-# naming the failing leaf on failure, and otherwise returns the atom's leaf
-# solvers in g's labels, built from its basic graphs: for gu and gutcap a
-# Join of one Piece per anticomponent, for gt one Piece for the atom. A
-# Piece is the basic family with its evidence, its parts. Anticomponents
-# are masks of g too, so no leaf copies a subgraph; the only copies are the
-# true-twin quotients, one per gt atom and one per gut anticomponent. The
+# Each class has one leaf function, leaf(g, atom), the one place that
+# decides an atom's family: it runs the class's basic-family test on the
+# atom, a vertex mask of g, raises NotInClassError naming the failing leaf
+# on failure, and otherwise returns the atom's basic graphs in g's labels:
+# for gut, gu and gutcap a Join of one Piece per anticomponent, for gt one
+# Piece for the atom. A Piece is the basic family with its evidence, its
+# parts, and the leaf solvers built from them; gut has no solvers, so its
+# pieces are evidence only. Anticomponents are masks of g too, so no leaf
+# copies a subgraph; the only copies are the true-twin quotients, one per gt
+# atom and one per gut anticomponent of two or more vertices. The
 # recognizer and every solver of the class call it once per atom. gut and
 # gutcap also exclude graphs that their leaf tests do not see; their global
 # test raises NotInClassError with a certificate before the decomposition
@@ -211,6 +205,8 @@ CHORDAL = "chordal"
 HYPERHOLE = "hyperhole"
 RING = "ring"
 ANTIHOLE = "antihole"
+LONG_HOLE_FREE = "long-hole-free"
+ALPHA2 = "alpha2"
 
 
 def _heaviest(w: Sequence, mask: int) -> tuple:
@@ -241,12 +237,17 @@ class Piece:
       chordal    one part, the chordal graph
       hyperhole  k >= 4 clique parts in cyclic order, consecutive parts
                  complete and the others anticomplete
-      ring       the parts of a good partition, in cyclic order
+      ring       the parts of a good partition, in cyclic order (k >= 5
+                 in gut)
       antihole   the seven parts of a 7-hyperantihole in antihole order,
                  so consecutive parts are anticomplete and the others
                  complete
+      long-hole-free  one part, with no hole of length five or more
+      alpha2     one part, with no three pairwise nonadjacent vertices
 
-    Only the chordal and hyperhole families have a colorer.
+    The last two are gut's, which has no solvers: they are evidence only,
+    and every solver raises ValueError on them. Only the chordal and
+    hyperhole families have a colorer.
     """
 
     family: str
@@ -272,10 +273,12 @@ class Piece:
             # k >= 4 a clique lies in two consecutive parts, whose union is
             # chordal: nested neighborhoods leave no C4
             answers = (chordal_mwc(wg, mask=parts[i] | parts[(i + 1) % k]) for i in range(k))
-        else:
+        elif self.family == ANTIHOLE:
             # the maximal cliques: the 7 triples of pairwise nonconsecutive
             # parts
             answers = (_positive(w, parts[i] | parts[(i + 2) % 7] | parts[(i + 4) % 7]) for i in range(7))
+        else:
+            raise ValueError(f"no solver for a {self.family} piece")
         # a generator, so only the best answer so far stays alive
         return max(answers, key=itemgetter(0))
 
@@ -298,6 +301,8 @@ class Piece:
             tops = [_heaviest(w, p & mask) for p in parts]
             pairs = [(tops[i][0] + tops[i - 1][0], tops[i][1] | tops[i - 1][1]) for i in range(7)]
             return max(pairs, key=itemgetter(0))
+        if self.family != RING:
+            raise ValueError(f"no solver for a {self.family} piece")
         # a stable set meets a part at most once, and the ring minus any
         # whole part is chordal, for every hole of a ring passes through all
         # its parts; so the optimum either misses the part with the fewest
@@ -330,27 +335,36 @@ class Piece:
 # gut
 
 
-def _gut_leaf(g: Graph, atom: int) -> None:
-    """Each anticomponent h of the leaf must be a long ring, or
-    long-hole-free, or have no three pairwise nonadjacent vertices. All
-    three tests run on h's true-twin quotient, which answers each the same:
-    h is a ring exactly when its quotient is one, with the same k, since
-    all holes of a ring have length k; a long hole has no true twins; and
-    twin classes are cliques, so a stable set meets each at most once."""
+def _gut_leaf(g: Graph, atom: int) -> Join:
+    """The leaf's anticomponents as a Join: a single vertex is a clique,
+    and every other anticomponent h must be a long ring, or long-hole-free,
+    or have no three pairwise nonadjacent vertices, tested in that order.
+    The tests run on h's true-twin quotient, which answers each the same: h
+    is a ring exactly when its quotient is one, with the same k, since all
+    holes of a ring have length k, and h's good partition is the
+    quotient's lifted through the twin classes; a long hole has no true
+    twins; and twin classes are cliques, so a stable set meets each at most
+    once."""
+    out = []
     for ac in anticomponents(g, atom):
-        _, quotient, _ = true_twin_partition(g, ac)
+        if ac & (ac - 1) == 0:
+            out.append(Piece(CLIQUE, (ac,)))
+            continue
+        classes, quotient, _ = true_twin_partition(g, ac)
         ring = recognize_ring(quotient)
         if ring is not None and ring.k >= 5:
-            continue
-        if find_long_hole(quotient) is None:
-            continue
-        if alpha_at_most_2(quotient):
-            continue
-        raise NotInClassError(
-            "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
-            leaf=frozenset(iter_bits(atom)),
-            anticomponent=frozenset(iter_bits(ac)),
-        )
+            out.append(Piece(RING, tuple(mask_of(v for i in part for v in classes[i]) for part in ring.parts)))
+        elif find_long_hole(quotient) is None:
+            out.append(Piece(LONG_HOLE_FREE, (ac,)))
+        elif alpha_at_most_2(quotient):
+            out.append(Piece(ALPHA2, (ac,)))
+        else:
+            raise NotInClassError(
+                "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
+                leaf=frozenset(iter_bits(atom)),
+                anticomponent=frozenset(iter_bits(ac)),
+            )
+    return Join(tuple(out))
 
 
 def _gut_global(g: Graph) -> None:
@@ -379,51 +393,43 @@ def _path_forest(g: Graph, mask: int) -> bool:
     return sum(degrees) // 2 == len(degrees) - len(masked_components(g, mask))
 
 
-def recognize_bu_h(g: Graph, mask: Optional[int] = None) -> Optional[list[tuple[tuple[int, ...], str]]]:
-    """Anticomponent structure of a gu decomposition leaf, the subgraph
-    that mask induces (all of g when omitted), or None: each
-    anticomponent's vertices with its label, a hole's in cyclic order and
-    the others' sorted.
+def recognize_bu_h(g: Graph, mask: Optional[int] = None) -> Optional[tuple[Piece, ...]]:
+    """The pieces of a gu decomposition leaf, the subgraph that mask
+    induces (all of g when omitted), one per anticomponent, or None.
 
     Members have every nontrivial anticomponent isomorphic to two
     nonadjacent vertices, or a single nontrivial anticomponent that is a
-    long hole or a disjoint union of paths on at least three vertices.
+    long hole or a disjoint union of paths on at least three vertices. A
+    hole is a hyperhole with single-vertex parts in cyclic order; K1, K2bar
+    and path unions are chordal.
     """
     acs = anticomponents(g, mask)
     wide = [ac for ac in acs if ac.bit_count() > 1]
     if all(ac.bit_count() == 2 for ac in wide):
-        return [(tuple(iter_bits(ac)), BUH_K1 if ac.bit_count() == 1 else BUH_K2BAR) for ac in acs]
+        return tuple([Piece(CHORDAL, (ac,)) for ac in acs])
     if len(wide) > 1:
         return None
     h = wide[0]
     order = _single_cycle_order(g, h)
     if order is not None and len(order) >= 5:
-        piece = (tuple(order), BUH_ODD_HOLE if len(order) % 2 else BUH_EVEN_HOLE)
+        # parts from a list, as in build_tree: tuple() of a generator
+        # reallocates as it grows, and that churn raises peak memory
+        piece = Piece(HYPERHOLE, tuple([1 << v for v in order]))
     elif _path_forest(g, h):
-        piece = (tuple(iter_bits(h)), BUH_PATHS)
+        piece = Piece(CHORDAL, (h,))
     else:
         return None
-    return [piece if ac == h else ((ac.bit_length() - 1,), BUH_K1) for ac in acs]
+    return tuple([piece if ac == h else Piece(CHORDAL, (ac,)) for ac in acs])
 
 
 def _gu_leaf(g: Graph, atom: int) -> Join:
-    """The leaf's anticomponents as a Join: holes are hyperholes with
-    single-vertex parts, and K1, K2bar and path unions are chordal."""
     pieces = recognize_bu_h(g, atom)
     if pieces is None:
         raise NotInClassError(
             "leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices",
             leaf=frozenset(iter_bits(atom)),
         )
-    out = []
-    for vs, label in pieces:
-        if label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            # parts from a list, as in build_tree: tuple() of a generator
-            # reallocates as it grows, and that churn raises peak memory
-            out.append(Piece(HYPERHOLE, tuple([1 << v for v in vs])))
-        else:
-            out.append(Piece(CHORDAL, (mask_of(vs),)))
-    return Join(tuple(out))
+    return Join(pieces)
 
 
 def recognize_gu(g: Graph) -> Recognition:

@@ -1,4 +1,4 @@
-"""Rings, hyperholes, hyperantiholes, and weighted cycle coloring.
+"""Rings, hyperholes, and weighted cycle coloring.
 
 A ring is a graph whose vertex set splits into k >= 4 cyclically arranged
 nonempty cliques X_1..X_k such that each X_i can be ordered by decreasing
@@ -17,7 +17,6 @@ from .chordal import is_chordal, simplicial_order
 from .detectors import canonical_cycle
 from .graphs import (
     Graph,
-    complement,
     is_clique_mask,
     iter_bits,
     mask_of,
@@ -182,33 +181,6 @@ def recognize_hyperhole(g: Graph, mask: Optional[int] = None) -> Optional[list[t
     classes, quotient, _ = true_twin_partition(g, mask)
     order = _single_cycle_order(quotient)
     if order is None:
-        return None
-    canon = canonical_cycle(order)
-    return [tuple(sorted(classes[i])) for i in canon]
-
-
-def recognize_hyperantihole(g: Graph) -> Optional[list[tuple[int, ...]]]:
-    """Parts of g in antihole cyclic order when g is an expansion of an
-    antihole of length >= 4, else None.
-
-    For length >= 5 the true-twin classes are the parts and the quotient's
-    complement must be a single cycle. Length 4 degenerates: the expansion
-    is two disjoint cliques on >= 2 vertices each, and any split of the two
-    cliques into two parts apiece works.
-    """
-    comps = masked_components(g, g.full_mask())
-    if len(comps) == 2:
-        a, b = comps
-        if a.bit_count() >= 2 and b.bit_count() >= 2:
-            if all(m & ~g.closed_mask(v) == 0 for m in (a, b) for v in iter_bits(m)):
-                va = sorted(iter_bits(a))
-                vb = sorted(iter_bits(b))
-                return [(va[0],), (vb[0],), tuple(va[1:]), tuple(vb[1:])]
-        return None
-
-    classes, quotient, _ = true_twin_partition(g)
-    order = _single_cycle_order(complement(quotient))
-    if order is None or len(order) < 5:
         return None
     canon = canonical_cycle(order)
     return [tuple(sorted(classes[i])) for i in canon]

@@ -1,20 +1,27 @@
 """Shared strategies and exhaustive reference solvers for the suite."""
 
 import random
+from typing import Optional
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from tcfree.detectors import canonical_cycle
 from tcfree.graphs import (
     Coloring,
     Graph,
     WeightedGraph,
     bits_list,
+    complement,
     is_clique,
     is_stable_set,
+    iter_bits,
+    masked_components,
+    true_twin_partition,
 )
 from tcfree.generators import gen_chordal, gen_class_member
 from tcfree.oracles import brute_chi
+from tcfree.rings import _single_cycle_order
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
@@ -88,6 +95,34 @@ def exact_coloring(g: Graph) -> Coloring:
 
     assert rec(0)
     return Coloring(tuple(colors), len(set(colors)))
+
+
+def recognize_hyperantihole(g: Graph) -> Optional[list[tuple[int, ...]]]:
+    """Parts of g in antihole cyclic order when g is an expansion of an
+    antihole of length >= 4, else None: the reference that the generator
+    and ring tests check hyperantiholes with.
+
+    For length >= 5 the true-twin classes are the parts and the quotient's
+    complement must be a single cycle. Length 4 degenerates: the expansion
+    is two disjoint cliques on >= 2 vertices each, and any split of the two
+    cliques into two parts apiece works.
+    """
+    comps = masked_components(g, g.full_mask())
+    if len(comps) == 2:
+        a, b = comps
+        if a.bit_count() >= 2 and b.bit_count() >= 2:
+            if all(m & ~g.closed_mask(v) == 0 for m in (a, b) for v in iter_bits(m)):
+                va = sorted(iter_bits(a))
+                vb = sorted(iter_bits(b))
+                return [(va[0],), (vb[0],), tuple(va[1:]), tuple(vb[1:])]
+        return None
+
+    classes, quotient, _ = true_twin_partition(g)
+    order = _single_cycle_order(complement(quotient))
+    if order is None or len(order) < 5:
+        return None
+    canon = canonical_cycle(order)
+    return [tuple(sorted(classes[i])) for i in canon]
 
 
 def differential_graphs():

@@ -5,6 +5,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,11 +16,6 @@ from conftest import rand_graph
 from tcfree import classes, decomposition, graphs
 from tcfree.chordal import is_chordal, simplicial_order
 from tcfree.classes import (
-    BUH_EVEN_HOLE,
-    BUH_K1,
-    BUH_K2BAR,
-    BUH_ODD_HOLE,
-    BUH_PATHS,
     CLASS_IDS,
     NotInClassError,
     color_gu,
@@ -85,6 +81,7 @@ from tcfree.oracles import (
     brute_alpha_w,
     brute_chi,
     brute_omega_w,
+    enumerate_holes,
     iter_all_graphs,
     truemper_present,
 )
@@ -200,22 +197,28 @@ def test_gut_and_gutcap_recognize_a_large_clique_quickly():
         assert time.perf_counter() - t0 < 1.0, recognize.__name__
 
 
-def test_recognize_bu_h_labels():
-    def labels(g):
-        pieces = recognize_bu_h(g)
-        return None if pieces is None else sorted(label for _, label in pieces)
+def test_recognize_bu_h_pieces():
+    # holes are hyperholes with one vertex per part, in cyclic order from
+    # the least vertex; K1, K2bar and path unions are chordal pieces
+    def pieces(g):
+        got = recognize_bu_h(g)
+        return None if got is None else [(piece.family, piece.parts) for piece in got]
 
-    assert labels(cycle_graph(5)) == [BUH_ODD_HOLE]
-    assert labels(cycle_graph(6)) == [BUH_EVEN_HOLE]
-    assert labels(join_graphs(cycle_graph(7), complete_graph(2))) == [
-        BUH_K1,
-        BUH_K1,
-        BUH_ODD_HOLE,
+    assert pieces(cycle_graph(5)) == [(classes.HYPERHOLE, tuple(1 << v for v in range(5)))]
+    assert pieces(cycle_graph(6)) == [(classes.HYPERHOLE, tuple(1 << v for v in range(6)))]
+    assert pieces(join_graphs(cycle_graph(7), complete_graph(2))) == [
+        (classes.HYPERHOLE, tuple(1 << v for v in range(7))),
+        (classes.CHORDAL, (1 << 7,)),
+        (classes.CHORDAL, (1 << 8,)),
     ]
-    assert labels(complete_multipartite([2, 2, 1])) == [BUH_K1, BUH_K2BAR, BUH_K2BAR]
+    assert pieces(complete_multipartite([2, 2, 1])) == [
+        (classes.CHORDAL, (0b11,)),
+        (classes.CHORDAL, (0b1100,)),
+        (classes.CHORDAL, (0b10000,)),
+    ]
     paths = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
-    assert labels(paths) == [BUH_PATHS]
-    assert labels(join_graphs(paths, complete_graph(1))) == [BUH_K1, BUH_PATHS]
+    assert pieces(paths) == [(classes.CHORDAL, (0b1111111,))]
+    assert pieces(join_graphs(paths, complete_graph(1))) == [(classes.CHORDAL, (0b1111111,)), (classes.CHORDAL, (1 << 7,))]
 
     k23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert recognize_bu_h(k23) is None
@@ -546,7 +549,8 @@ def test_solvers_reject_exactly_what_recognize_rejects():
 def test_leaf_tests_copy_no_atom(monkeypatch):
     # the leaf tests read each atom and anticomponent as a mask of g: gu
     # copies nothing, and gut copies one true-twin quotient for its global
-    # searches plus one per anticomponent of each atom
+    # searches plus one per anticomponent of two or more vertices of each
+    # atom
     copies = []
     original = graphs.induced_subgraph
 
@@ -564,7 +568,7 @@ def test_leaf_tests_copy_no_atom(monkeypatch):
         mwc_mwss_gu(WeightedGraph(g, (1,) * g.n))
         assert copies == [], (seed, g.n)
         g = gen_class_member(seed, "gut", pieces=4, max_n=16)
-        acs = sum(len(anticomponents(g, mask_of(node.vertices))) for node in build_tree(g).leaves())
+        acs = sum(ac.bit_count() > 1 for node in build_tree(g).leaves() for ac in anticomponents(g, node.mask))
         copies.clear()
         assert recognize_gut(g).member
         assert len(copies) == 1 + acs, (seed, g.n)
@@ -582,21 +586,28 @@ def _ref_anticomponents(g):
 
 
 def _ref_gut_leaf(g, atom):
+    """The leaf's Join pieces as (family, parts)."""
     sub, verts = induced_subgraph(g, atom)
+    out = []
     for ac in _ref_anticomponents(sub):
-        h, _ = induced_subgraph(sub, ac)
+        h, hverts = induced_subgraph(sub, ac)
+        mask = mask_of(verts[i] for i in hverts)
         ring = recognize_ring(h)
-        if ring is not None and ring.k >= 5:
-            continue
-        if classes._twin_quotient_search(h)(find_long_hole) is None:
-            continue
-        if alpha_at_most_2(h):
-            continue
-        raise NotInClassError(
-            "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
-            leaf=frozenset(verts),
-            anticomponent=frozenset(verts[i] for i in ac),
-        )
+        if h.n == 1:
+            out.append((classes.CLIQUE, (mask,)))
+        elif ring is not None and ring.k >= 5:
+            out.append((classes.RING, tuple(mask_of(verts[hverts[i]] for i in p) for p in ring.parts)))
+        elif classes._twin_quotient_search(h)(find_long_hole) is None:
+            out.append((classes.LONG_HOLE_FREE, (mask,)))
+        elif alpha_at_most_2(h):
+            out.append((classes.ALPHA2, (mask,)))
+        else:
+            raise NotInClassError(
+                "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
+                leaf=frozenset(verts),
+                anticomponent=frozenset(verts[i] for i in ac),
+            )
+    return out
 
 
 def _ref_path_forest(g):
@@ -606,21 +617,24 @@ def _ref_path_forest(g):
 
 
 def _ref_recognize_bu_h(g):
+    """The pieces of g as (family, parts), ordered by least vertex: the
+    universal vertices, and the rest as K2bar pieces, a long hole or a
+    path union."""
     n = g.n
     if all(g.degree(v) >= n - 2 for v in range(n)):
-        return [(tuple(sorted(ac)), BUH_K1 if len(ac) == 1 else BUH_K2BAR) for ac in _ref_anticomponents(g)]
+        return [(classes.CHORDAL, (mask_of(ac),)) for ac in _ref_anticomponents(g)]
     rest = [v for v in range(n) if g.degree(v) < n - 1]
     sub, _ = induced_subgraph(g, rest)
     order = _single_cycle_order(sub)
     if order is not None and len(order) >= 5:
-        piece = (tuple(rest[i] for i in order), BUH_ODD_HOLE if len(order) % 2 else BUH_EVEN_HOLE)
+        piece = (classes.HYPERHOLE, tuple(1 << rest[i] for i in order))
     elif sub.n >= 3 and _ref_path_forest(sub):
-        piece = (tuple(rest), BUH_PATHS)
+        piece = (classes.CHORDAL, (mask_of(rest),))
     else:
         return None
-    pieces = [((u,), BUH_K1) for u in range(n) if g.degree(u) == n - 1]
+    pieces = [(classes.CHORDAL, (1 << u,)) for u in range(n) if g.degree(u) == n - 1]
     pieces.append(piece)
-    pieces.sort(key=lambda piece: min(piece[0]))
+    pieces.sort(key=lambda piece: min(iter_bits(sum(piece[1]))))
     return pieces
 
 
@@ -633,13 +647,7 @@ def _ref_gu_leaf(g, atom):
             "leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices",
             leaf=frozenset(verts),
         )
-    out = []
-    for vs, label in pieces:
-        if label in (BUH_ODD_HOLE, BUH_EVEN_HOLE):
-            out.append((classes.HYPERHOLE, tuple(1 << verts[i] for i in vs)))
-        else:
-            out.append((classes.CHORDAL, (mask_of(verts[i] for i in vs),)))
-    return out
+    return [(family, tuple(mask_of(verts[i] for i in iter_bits(p)) for p in parts)) for family, parts in pieces]
 
 
 def _ref_gutcap_leaf(g, atom):
@@ -663,16 +671,30 @@ def _ref_gutcap_leaf(g, atom):
     return out
 
 
+def _cyclic_form(parts):
+    """A cycle of parts read from the part with the least vertex toward its
+    neighbour with the lesser least vertex: one form for every rotation and
+    reflection."""
+    low = [p & -p for p in parts]
+    i = low.index(min(low))
+    forward = parts[i:] + parts[:i]
+    backward = forward[:1] + forward[:0:-1]
+    return min(forward, backward, key=lambda ps: ps[1] & -ps[1])
+
+
 def _outcome(leaf, g, atom):
     """What a leaf test answers: its rejection with reason, leaf and
-    anticomponent, or its Join as (family, parts) per piece."""
+    anticomponent, or its Join as (family, parts) per piece, a ring's parts
+    in their cyclic form: the walk that finds them starts at a vertex of
+    highest degree, which may lie in another part of a copy than of a
+    quotient."""
     try:
         got = leaf(g, atom)
     except NotInClassError as exc:
         return "rejected", str(exc), exc.leaf, exc.anticomponent
-    if got is None or isinstance(got, list):
-        return "accepted", got
-    return "accepted", [(piece.family, piece.parts) for piece in got.pieces]
+    if not isinstance(got, list):
+        got = [(piece.family, piece.parts) for piece in got.pieces]
+    return "accepted", [(family, _cyclic_form(parts) if family == classes.RING else parts) for family, parts in got]
 
 
 def _leaf_differential_graphs(rng):
@@ -692,7 +714,7 @@ def _leaf_differential_graphs(rng):
         else:
             cls = CLASS_IDS[trial // 6 % 4]
             g = gen_class_member(rng.randrange(2**30), cls, pieces=rng.randrange(1, 4), max_n=rng.randrange(8, 19))
-        atoms = [mask_of(node.vertices) for node in build_tree(g).leaves()]
+        atoms = [node.mask for node in build_tree(g).leaves()]
         yield g, list(dict.fromkeys([g.full_mask()] + atoms))
 
 
@@ -714,12 +736,7 @@ def test_mask_leaf_tests_match_copy_based_references():
                 if got[0] == "rejected":
                     seen["rejected-ac" if got[3] is not None else "rejected-leaf"] += 1
                 else:
-                    seen["hyperhole-piece"] += sum(family == classes.HYPERHOLE for family, _ in got[1] or ())
-            sub, verts = induced_subgraph(g, atom)
-            pieces = _ref_recognize_bu_h(sub)
-            if pieces is not None:
-                pieces = [(tuple(verts[i] for i in vs), label) for vs, label in pieces]
-            assert classes.recognize_bu_h(g, mask) == pieces, (g.adj, mask)
+                    seen["hyperhole-piece"] += sum(family == classes.HYPERHOLE for family, _ in got[1])
         # the hyperhole and cycle tests on random masks as well
         for mask in masks + [rng.randrange(1, 1 << g.n) for _ in range(3)]:
             sub, verts = induced_subgraph(g, bits_list(mask))
@@ -749,12 +766,17 @@ def _check_piece(g, piece):
     """Check a piece's evidence against its family from the graph alone."""
     parts = piece.parts
     k = len(parts)
-    if piece.family in (classes.CLIQUE, classes.CHORDAL):
+    if piece.family in (classes.CLIQUE, classes.CHORDAL, classes.LONG_HOLE_FREE, classes.ALPHA2):
         assert k == 1
+        sub, _ = induced_subgraph(g, bits_list(parts[0]))
         if piece.family == classes.CLIQUE:
             assert is_clique_mask(g, parts[0])
-        else:
+        elif piece.family == classes.CHORDAL:
             assert simplicial_order(g, parts[0]) is not None
+        elif piece.family == classes.LONG_HOLE_FREE:
+            assert sub.n > 13 or next(enumerate_holes(sub, min_len=5), None) is None
+        else:
+            assert sub.n > 20 or not any(is_stable_set(sub, t) for t in combinations(range(sub.n), 3))
     elif piece.family == classes.RING:
         sub, verts = induced_subgraph(g, bits_list(piece.mask))
         pos = {v: i for i, v in enumerate(verts)}
@@ -770,20 +792,40 @@ def _check_piece(g, piece):
                 assert (near if j - i in (1, k - 1) else far)(g, parts[i], parts[j]), (piece, i, j)
 
 
+def _triangle_free_with_c5(rng: random.Random) -> Graph:
+    """A random triangle-free graph on 5 to 12 vertices that holds an
+    induced C5: a C5 plus random edges that close no triangle (a chord of
+    the C5 would close one)."""
+    n = rng.randrange(5, 13)
+    adj = [0] * n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    for u, v in [(i, (i + 1) % 5) for i in range(5)] + pairs[: rng.randrange(len(pairs) + 1)]:
+        if not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, [(u, v) for u in range(n) for v in iter_bits(adj[u]) if u < v])
+
+
 def test_leaf_pieces_carry_their_evidence():
-    # every piece the gu, gt and gutcap leaf tests return is checked without
-    # the classes' solvers: the parts are nonempty and disjoint, the pieces
-    # partition the atom and are complete to each other, and each family's
-    # structure holds
+    # every piece the leaf tests return is checked without the classes'
+    # solvers: the parts are nonempty and disjoint, the pieces partition the
+    # atom and are complete to each other, and each family's structure
+    # holds. The complements of triangle-free graphs with a C5 have a long
+    # hole and alpha <= 2, which is where gut's alpha2 pieces come from
     rng = random.Random(2000)
     members = (
-        (g, [mask_of(node.vertices) for node in build_tree(g).leaves()])
-        for g in (gen_class_member(seed, cls, pieces=4, max_n=40) for seed in range(60) for cls in ("gu", "gt", "gutcap"))
+        (g, [node.mask for node in build_tree(g).leaves()])
+        for g in (gen_class_member(seed, cls, pieces=4, max_n=40) for seed in range(60) for cls in CLASS_IDS)
+    )
+    alpha2 = (
+        (g, [g.full_mask()] + [node.mask for node in build_tree(g).leaves()])
+        for g in (complement(_triangle_free_with_c5(rng)) for _ in range(100))
     )
     seen = Counter()
-    for g, masks in list(_leaf_differential_graphs(rng)) + list(members):
+    for g, masks in list(_leaf_differential_graphs(rng)) + list(members) + list(alpha2):
         for atom in masks:
-            for leaf in (classes._gu_leaf, classes._gt_leaf, classes._gutcap_leaf):
+            for leaf in (classes._gut_leaf, classes._gu_leaf, classes._gt_leaf, classes._gutcap_leaf):
                 try:
                     got = leaf(g, atom)
                 except NotInClassError:
@@ -798,11 +840,24 @@ def test_leaf_pieces_carry_their_evidence():
                     assert piece.mask == whole and union & whole == 0, (leaf.__name__, g.adj, atom)
                     union |= whole
                     _check_piece(g, piece)
+                    assert leaf != classes._gut_leaf or piece.family != classes.RING or len(piece.parts) >= 5
                     seen[leaf.__name__, piece.family] += 1
                 assert union == atom, (leaf.__name__, g.adj, atom)
                 for i, a in enumerate(pieces):
                     for b in pieces[i + 1 :]:
                         assert _complete(g, a.mask, b.mask), (leaf.__name__, g.adj, atom)
     # chordal and hyperhole pieces from gu and gutcap; cliques, rings and
-    # antiholes from gt
-    assert len(seen) == 7 and min(seen.values()) >= 50, seen
+    # antiholes from gt; cliques, rings, long-hole-free and alpha2 pieces
+    # from gut
+    assert len(seen) == 11 and min(seen.values()) >= 50, seen
+
+
+def test_gut_evidence_pieces_have_no_solvers():
+    # gut has no solvers, so its evidence families must not fall through to
+    # another family's solver
+    wg = WeightedGraph(cycle_graph(5), (1,) * 5)
+    for family in (classes.LONG_HOLE_FREE, classes.ALPHA2):
+        piece = classes.Piece(family, (wg.graph.full_mask(),))
+        for solve in (piece.mwc, lambda wg: piece.mwss(wg, wg.graph.full_mask()), lambda wg: piece.color(wg.graph)):
+            with pytest.raises(ValueError, match=f"for a {family} piece"):
+                solve(wg)

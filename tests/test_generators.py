@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import recognize_hyperantihole
 from tcfree.chordal import simplicial_order
 from tcfree.classes import recognize_gt, recognize_gu, recognize_gut, recognize_gutcap
 from tcfree.detectors import find_cap
@@ -20,7 +21,6 @@ from tcfree.generators import (
 from tcfree.graphs import Graph, complement
 from tcfree.oracles import is_chordal_brute
 from tcfree.rings import (
-    recognize_hyperantihole,
     recognize_hyperhole,
     recognize_ring,
     verify_good_partition,

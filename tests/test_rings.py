@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, recognize_hyperantihole
 from tcfree.chordal import is_chordal
 from tcfree.classes import HYPERHOLE, Piece
 from tcfree.detectors import PROPER_WHEEL, PRISM, PYRAMID, THETA, UNIVERSAL_WHEEL, find_cap
@@ -30,7 +30,6 @@ from tcfree.oracles import (
 )
 from tcfree.rings import (
     _single_cycle_order,
-    recognize_hyperantihole,
     recognize_hyperhole,
     recognize_ring,
     verify_good_partition,
