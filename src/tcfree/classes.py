@@ -57,13 +57,14 @@ from .graphs import (
     Coloring,
     Graph,
     WeightedGraph,
-    alpha_at_most_2,
     anticomponents,
     complement,
     component_of,
+    induced_subgraph,
     iter_bits,
     mask_of,
     masked_components,
+    stable_triple,
     true_twin_partition,
 )
 from .rings import (
@@ -139,24 +140,14 @@ class Recognition:
 # for gut, gu and gutcap a Join of one Piece per anticomponent, for gt one
 # Piece for the atom. A Piece is the basic family with its evidence, its
 # parts, and the leaf solvers built from them; gut has no solvers, so its
-# pieces are evidence only. Anticomponents are masks of g too, so no leaf
-# copies a subgraph; the only copies are the true-twin quotients, one per gt
-# atom and one per gut anticomponent of two or more vertices. The
+# pieces are evidence only. Anticomponents and twin classes are masks of g
+# too, so no leaf copies a subgraph; the only copies are the true-twin
+# quotients that a search reads, one per non-clique gt atom and per gut
+# anticomponent of two or more vertices, and none for gutcap. The
 # recognizer and every solver of the class call it once per atom. gut and
 # gutcap also exclude graphs that their leaf tests do not see; their global
 # test raises NotInClassError with a certificate before the decomposition
 # is built.
-
-
-def _recognize_leaves(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> Recognition:
-    try:
-        if global_test is not None:
-            global_test(g)
-        for node in build_tree(g).leaves():
-            leaf(g, node.mask)
-    except NotInClassError as exc:
-        return Recognition(False, exc.certificate, str(exc), exc.leaf, exc.anticomponent)
-    return Recognition(True)
 
 
 def _leaf_solvers(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> tuple[DecompositionTree, list]:
@@ -166,6 +157,14 @@ def _leaf_solvers(g: Graph, leaf: Callable, global_test: Optional[Callable] = No
         global_test(g)
     tree = build_tree(g)
     return tree, [leaf(g, node.mask) for node in tree.leaves()]
+
+
+def _recognize_leaves(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> Recognition:
+    try:
+        _leaf_solvers(g, leaf, global_test)
+    except NotInClassError as exc:
+        return Recognition(False, exc.certificate, str(exc), exc.leaf, exc.anticomponent)
+    return Recognition(True)
 
 
 def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:
@@ -178,9 +177,11 @@ def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:
     the quotient does. The classes are ordered by least vertex, so the lift
     is monotone: it keeps the least copy, the first one in a search's order
     and canonical_cycle, and the certificate is the one find(g, *args)
-    gives. Every search on g shares the one quotient.
+    gives. Every search on g shares the one quotient, which is g itself when
+    no two vertices are twins.
     """
-    _, quotient, reps = true_twin_partition(g)
+    _, reps = true_twin_partition(g)
+    quotient = g if len(reps) == g.n else induced_subgraph(g, reps)[0]
 
     def search(find: Callable[..., Optional[Certificate]], *args) -> Optional[Certificate]:
         cert = find(quotient, *args)
@@ -339,24 +340,24 @@ def _gut_leaf(g: Graph, atom: int) -> Join:
     """The leaf's anticomponents as a Join: a single vertex is a clique,
     and every other anticomponent h must be a long ring, or long-hole-free,
     or have no three pairwise nonadjacent vertices, tested in that order.
-    The tests run on h's true-twin quotient, which answers each the same: h
-    is a ring exactly when its quotient is one, with the same k, since all
-    holes of a ring have length k, and h's good partition is the
-    quotient's lifted through the twin classes; a long hole has no true
-    twins; and twin classes are cliques, so a stable set meets each at most
-    once."""
+    The first two tests run on h's true-twin quotient, which answers each
+    the same: h is a ring exactly when its quotient is one, with the same
+    k, since all holes of a ring have length k, and h's good partition is
+    the quotient's lifted through the twin classes; and a long hole has no
+    true twins."""
     out = []
     for ac in anticomponents(g, atom):
         if ac & (ac - 1) == 0:
             out.append(Piece(CLIQUE, (ac,)))
             continue
-        classes, quotient, _ = true_twin_partition(g, ac)
+        classes, reps = true_twin_partition(g, ac)
+        quotient = induced_subgraph(g, reps)[0]
         ring = recognize_ring(quotient)
         if ring is not None and ring.k >= 5:
-            out.append(Piece(RING, tuple(mask_of(v for i in part for v in classes[i]) for part in ring.parts)))
+            out.append(Piece(RING, tuple(sum(classes[i] for i in part) for part in ring.parts)))
         elif find_long_hole(quotient) is None:
             out.append(Piece(LONG_HOLE_FREE, (ac,)))
-        elif alpha_at_most_2(quotient):
+        elif stable_triple(g, ac) is None:
             out.append(Piece(ALPHA2, (ac,)))
         else:
             raise NotInClassError(
@@ -469,17 +470,17 @@ def _gt_leaf(g: Graph, atom: int) -> Piece:
     closed neighborhoods within the atom, and the quotient's parts are
     lifted through them; the classes are disjoint masks, so the sum of a
     part's classes is their union."""
-    classes, quotient, _ = true_twin_partition(g, atom)
-    twins = [mask_of(c) for c in classes]
-    if quotient.n == 1:
-        return Piece(CLIQUE, (twins[0],))
+    classes, reps = true_twin_partition(g, atom)
+    if len(classes) == 1:
+        return Piece(CLIQUE, (atom,))
+    quotient = induced_subgraph(g, reps)[0]
     ring = recognize_ring(quotient)
     if ring is not None:
-        return Piece(RING, tuple(sum(twins[i] for i in part) for part in ring.parts))
+        return Piece(RING, tuple(sum(classes[i] for i in part) for part in ring.parts))
     if quotient.n == 7:
         order = _single_cycle_order(complement(quotient))
         if order is not None:
-            return Piece(ANTIHOLE, tuple(twins[i] for i in order))
+            return Piece(ANTIHOLE, tuple(classes[i] for i in order))
     raise NotInClassError(
         "leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole",
         leaf=frozenset(iter_bits(atom)),
@@ -524,7 +525,7 @@ def _gutcap_leaf(g: Graph, atom: int) -> Join:
                 leaf=frozenset(iter_bits(atom)),
                 anticomponent=frozenset(iter_bits(ac)),
             )
-        out.append(Piece(HYPERHOLE, tuple([mask_of(p) for p in parts])))
+        out.append(Piece(HYPERHOLE, tuple(parts)))
     return Join(tuple(out))
 
 

@@ -12,8 +12,10 @@ Long holes, caps, K23, C6BAR and W54 have no two true twins, and true twins
 stay twins in every induced subgraph, so a graph contains one exactly when
 its true-twin quotient does. The class recognizers therefore run the global
 searches on the quotient of the whole graph (classes._twin_quotient_search),
-and the gut leaf test runs find_long_hole on the quotient of each
-anticomponent, the one its ring and stable-set tests read too.
+which is the graph itself when no two vertices are twins, and the gut leaf
+test runs find_long_hole on the quotient of each anticomponent of two or
+more vertices, the one its ring test reads too. The K23 search and the gut
+leaf's stable-set test share graphs.stable_triple.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, iter_bits, mask_of, shortest_path
+from .graphs import Graph, is_clique, iter_bits, mask_of, shortest_path, stable_triple
 
 HOLE = "Hole"
 LONG_HOLE = "LongHole"
@@ -156,7 +158,7 @@ def _check_three_path(g: Graph, cert: Certificate) -> bool:
         a = starts[0]
         if len(set(ends)) != 3 or a in ends:
             return False
-        if not all(g.has_edge(ends[i], ends[j]) for i in range(3) for j in range(i + 1, 3)):
+        if not is_clique(g, ends):
             return False
         if sum(1 for p in paths if len(p) == 2) > 1:
             return False
@@ -169,9 +171,8 @@ def _check_three_path(g: Graph, cert: Certificate) -> bool:
             return False
         if set(starts) & set(ends):
             return False
-        for tri in (starts, ends):
-            if not all(g.has_edge(tri[i], tri[j]) for i in range(3) for j in range(i + 1, 3)):
-                return False
+        if not (is_clique(g, starts) and is_clique(g, ends)):
+            return False
         interiors = [p[1:-1] for p in paths]
         expected_count = 6 + sum(len(i) for i in interiors)
         extra = [frozenset((t[i], t[j])) for t in (starts, ends) for i in range(3) for j in range(i + 1, 3)]
@@ -237,9 +238,8 @@ def check_certificate(g: Graph, cert: Certificate) -> bool:
             return False
         a = verts[:3]
         b = verts[3:]
-        for tri in (a, b):
-            if not all(g.has_edge(tri[i], tri[j]) for i in range(3) for j in range(i + 1, 3)):
-                return False
+        if not (is_clique(g, a) and is_clique(g, b)):
+            return False
         return all(g.has_edge(a[i], b[j]) == (i == j) for i in range(3) for j in range(3))
     raise ValueError(f"unknown certificate kind {kind!r}")
 
@@ -331,16 +331,6 @@ def _second_neighbourhood(g: Graph, v: int) -> int:
     return out
 
 
-def _stable_triple(g: Graph, mask: int) -> Optional[tuple[int, int, int]]:
-    """Lexicographically least stable triple inside mask."""
-    for v1 in iter_bits(mask):
-        for v2 in iter_bits(mask & ~g.adj[v1] & ~((1 << (v1 + 1)) - 1)):
-            rest = mask & ~g.adj[v1] & ~g.adj[v2] & ~((1 << (v2 + 1)) - 1)
-            if rest:
-                return v1, v2, _low(rest)
-    return None
-
-
 def _find_c6bar(g: Graph) -> Optional[Certificate]:
     """The prism is vertex-transitive, so the least vertex s of a copy lies
     on a triangle s < p < q whose vertices have private neighbours t, u, w
@@ -413,7 +403,7 @@ def find_small_obstruction(g: Graph, kind: str) -> Optional[Certificate]:
                 common = g.adj[u1] & g.adj[u2]
                 if common.bit_count() < 3:
                     continue
-                triple = _stable_triple(g, common)
+                triple = stable_triple(g, common)
                 if triple is not None:
                     return Certificate(K23, (u1, u2) + triple)
         return None
@@ -433,12 +423,6 @@ class HoleExpansion:
     hole: tuple[int, ...]
     twin_sets: tuple[frozenset[int], ...]
     universal: frozenset[int]
-
-    def expansion_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for s in self.twin_sets:
-            out |= s
-        return frozenset(out)
 
 
 def hole_expansion(g: Graph, hole: Certificate) -> HoleExpansion:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .chordal import simplicial_order
 from .decomposition import glue
 from .detectors import C6BAR, find_cap, find_long_hole, find_small_obstruction
-from .graphs import Graph, alpha_at_most_2, iter_bits
+from .graphs import Graph, iter_bits, stable_triple
 from .rings import GoodPartition, verify_good_partition
 
 
@@ -226,7 +226,7 @@ def _sample_alpha2_piece(rng: random.Random, max_n: int) -> Graph:
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.75
         ]
         g = Graph(n, edges)
-        if not alpha_at_most_2(g):
+        if stable_triple(g, g.full_mask()) is not None:
             continue
         if find_long_hole(g) is not None:
             continue

@@ -83,12 +83,9 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask()
-    out = Graph.__new__(Graph)
-    out.n = g.n
     # a list first: tuple() of a generator reallocates as it grows, churn
     # that fragments the heap over many calls
-    out.adj = tuple([(full & ~g.adj[v]) & ~(1 << v) for v in range(g.n)])
-    return out
+    return _graph_from_masks(g.n, [(full & ~g.adj[v]) & ~(1 << v) for v in range(g.n)])
 
 
 def _graph_from_masks(n: int, adj: Sequence[int]) -> Graph:
@@ -168,10 +165,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     return _graph_from_masks(len(vs), adj), vs
 
 
-def true_twin_partition(g: Graph, mask: Optional[int] = None) -> tuple[list[frozenset[int]], Graph, list[int]]:
-    """Partition into true twin classes, the quotient graph, and the least
-    vertex of each class, for the subgraph that mask induces, all of g when
-    omitted.
+def true_twin_partition(g: Graph, mask: Optional[int] = None) -> tuple[list[int], list[int]]:
+    """Partition into true twin classes, as masks, and the least vertex of
+    each class, for the subgraph that mask induces, all of g when omitted.
 
     Two vertices are true twins when their closed neighborhoods coincide;
     classes are cliques and the quotient has an edge exactly between classes
@@ -181,25 +177,24 @@ def true_twin_partition(g: Graph, mask: Optional[int] = None) -> tuple[list[froz
     """
     if mask is None:
         mask = g.full_mask()
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, int] = {}
     for v in iter_bits(mask):
-        groups.setdefault(g.closed_mask(v) & mask, []).append(v)
+        key = g.closed_mask(v) & mask
+        groups[key] = groups.get(key, 0) | 1 << v
     # the vertices come in increasing order, so the groups are ordered by
     # least vertex
-    parts = list(groups.values())
-    quotient, reps = induced_subgraph(g, [p[0] for p in parts])
-    return [frozenset(p) for p in parts], quotient, reps
+    classes = list(groups.values())
+    return classes, [(c & -c).bit_length() - 1 for c in classes]
 
 
-def alpha_at_most_2(g: Graph) -> bool:
-    """True when g has no stable set of size three (complement triangle-free)."""
-    full = g.full_mask()
-    for u in range(g.n):
-        nonnbr_u = full & ~g.closed_mask(u)
-        for v in iter_bits(nonnbr_u >> (u + 1) << (u + 1)):
-            if nonnbr_u & ~g.closed_mask(v):
-                return False
-    return True
+def stable_triple(g: Graph, mask: int) -> Optional[tuple[int, int, int]]:
+    """Lexicographically least stable triple inside mask, or None."""
+    for v1 in iter_bits(mask):
+        for v2 in iter_bits(mask & ~g.adj[v1] & ~((1 << (v1 + 1)) - 1)):
+            rest = mask & ~g.adj[v1] & ~g.adj[v2] & ~((1 << (v2 + 1)) - 1)
+            if rest:
+                return v1, v2, (rest & -rest).bit_length() - 1
+    return None
 
 
 def is_clique_mask(g: Graph, mask: int) -> bool:

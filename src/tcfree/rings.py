@@ -136,19 +136,9 @@ def _extend_ring(g: Graph, x1_mask: int, x1_order: tuple[int, ...], x2_mask: int
         orders.append(cur_order)
         used |= cur_mask
         cur_mask = g.adj[cur_order[0]] & ~used
-    k = len(orders)
-    if k < 4 or used != g.full_mask():
+    if len(orders) < 4 or used != g.full_mask() or not verify_good_partition(g, orders):
         return None
-    tops = [o[0] for o in orders]
-    for i in range(k):
-        for j in range(i + 1, k):
-            consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            if g.has_edge(tops[i], tops[j]) != consecutive:
-                return None
-    parts = [list(o) for o in orders]
-    if not verify_good_partition(g, parts):
-        return None
-    return GoodPartition(tuple(tuple(o) for o in orders))
+    return GoodPartition(tuple(orders))
 
 
 def _single_cycle_order(g: Graph, mask: Optional[int] = None) -> Optional[list[int]]:
@@ -173,17 +163,18 @@ def _single_cycle_order(g: Graph, mask: Optional[int] = None) -> Optional[list[i
     return order
 
 
-def recognize_hyperhole(g: Graph, mask: Optional[int] = None) -> Optional[list[tuple[int, ...]]]:
-    """Parts in cyclic order when the subgraph that mask induces, all of g
-    when omitted, is a hyperhole (an expansion of a hole by nonempty
-    cliques), else None. The true-twin classes of a hyperhole are exactly
-    its parts, so the quotient must be a hole."""
-    classes, quotient, _ = true_twin_partition(g, mask)
-    order = _single_cycle_order(quotient)
+def recognize_hyperhole(g: Graph, mask: Optional[int] = None) -> Optional[list[int]]:
+    """Parts as masks of g, in the cyclic order canonical_cycle gives their
+    least vertices, when the subgraph that mask induces, all of g when
+    omitted, is a hyperhole (an expansion of a hole by nonempty cliques),
+    else None. The true-twin classes of a hyperhole are exactly its parts,
+    so the least vertices of the classes must induce a hole."""
+    classes, reps = true_twin_partition(g, mask)
+    order = _single_cycle_order(g, mask_of(reps))
     if order is None:
         return None
-    canon = canonical_cycle(order)
-    return [tuple(sorted(classes[i])) for i in canon]
+    part_of = dict(zip(reps, classes))
+    return [part_of[v] for v in canonical_cycle(order)]
 
 
 def weighted_cycle_color(k: int, mults: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:

@@ -16,6 +16,7 @@ from tcfree.graphs import (
     is_clique,
     is_stable_set,
     iter_bits,
+    mask_of,
     masked_components,
     true_twin_partition,
 )
@@ -97,32 +98,32 @@ def exact_coloring(g: Graph) -> Coloring:
     return Coloring(tuple(colors), len(set(colors)))
 
 
-def recognize_hyperantihole(g: Graph) -> Optional[list[tuple[int, ...]]]:
-    """Parts of g in antihole cyclic order when g is an expansion of an
-    antihole of length >= 4, else None: the reference that the generator
-    and ring tests check hyperantiholes with.
+def recognize_hyperantihole(g: Graph) -> Optional[list[int]]:
+    """Parts of g as masks, in antihole cyclic order, when g is an expansion
+    of an antihole of length >= 4, else None: the reference that the
+    generator and ring tests check hyperantiholes with.
 
-    For length >= 5 the true-twin classes are the parts and the quotient's
-    complement must be a single cycle. Length 4 degenerates: the expansion
-    is two disjoint cliques on >= 2 vertices each, and any split of the two
-    cliques into two parts apiece works.
+    For length >= 5 the true-twin classes are the parts and the complement
+    of the quotient, the subgraph their least vertices induce, must be a
+    single cycle. Length 4 degenerates: the expansion is two disjoint
+    cliques on >= 2 vertices each, and any split of the two cliques into
+    two parts apiece works.
     """
     comps = masked_components(g, g.full_mask())
     if len(comps) == 2:
         a, b = comps
         if a.bit_count() >= 2 and b.bit_count() >= 2:
             if all(m & ~g.closed_mask(v) == 0 for m in (a, b) for v in iter_bits(m)):
-                va = sorted(iter_bits(a))
-                vb = sorted(iter_bits(b))
-                return [(va[0],), (vb[0],), tuple(va[1:]), tuple(vb[1:])]
+                low_a, low_b = a & -a, b & -b
+                return [low_a, low_b, a ^ low_a, b ^ low_b]
         return None
 
-    classes, quotient, _ = true_twin_partition(g)
-    order = _single_cycle_order(complement(quotient))
+    classes, reps = true_twin_partition(g)
+    order = _single_cycle_order(complement(g), mask_of(reps))
     if order is None or len(order) < 5:
         return None
-    canon = canonical_cycle(order)
-    return [tuple(sorted(classes[i])) for i in canon]
+    part_of = dict(zip(reps, classes))
+    return [part_of[v] for v in canonical_cycle(order)]
 
 
 def differential_graphs():

@@ -245,7 +245,7 @@ def test_criterion_07_hyperhole_coloring_matches_brute():
 
 def hyperhole_color_checked(g):
     parts = recognize_hyperhole(g)
-    colors, count = Piece(HYPERHOLE, tuple(mask_of(p) for p in parts)).color(g)
+    colors, count = Piece(HYPERHOLE, tuple(parts)).color(g)
     col = Coloring(tuple(colors[v] for v in range(g.n)), count)
     assert is_proper_coloring(g, col)
     return col

@@ -206,13 +206,13 @@ def test_mask_kernels_match_copied_subgraphs():
         perm = rng.sample(range(h.n), h.n)
         g = Graph(h.n, [(perm[u], perm[v]) for u, v in h.edges()])
         parts = recognize_hyperhole(g)
-        piece = Piece(HYPERHOLE, tuple(mask_of(p) for p in parts))
+        piece = Piece(HYPERHOLE, tuple(parts))
         wg = WeightedGraph(g, tuple(rng.randrange(-4, 10) for _ in range(g.n)))
         mask = rng.randrange(1, 1 << g.n)
         sub, verts = induced_subgraph(g, bits_list(mask))
         sub_wg = WeightedGraph(sub, tuple(wg.weights[v] for v in verts))
         pos = {v: i for i, v in enumerate(verts)}
-        sub_parts = [tuple(pos[v] for v in p if mask >> v & 1) for p in parts]
+        sub_parts = [tuple(pos[v] for v in iter_bits(p & mask)) for p in parts]
         value, chosen = piece.mwss(wg, mask)
         if all(sub_parts):
             sub_value, sub_chosen = Piece(HYPERHOLE, tuple(mask_of(p) for p in sub_parts)).mwss(sub_wg, sub.full_mask())

@@ -60,11 +60,11 @@ from tcfree.generators import (
     gen_hyperantihole,
     gen_ring,
     join_graphs,
+    path_graph,
 )
 from tcfree.graphs import (
     Graph,
     WeightedGraph,
-    alpha_at_most_2,
     anticomponents,
     bits_list,
     complement,
@@ -76,6 +76,7 @@ from tcfree.graphs import (
     iter_bits,
     mask_of,
     masked_components,
+    true_twin_partition,
 )
 from tcfree.oracles import (
     brute_alpha_w,
@@ -547,10 +548,15 @@ def test_solvers_reject_exactly_what_recognize_rejects():
 
 
 def test_leaf_tests_copy_no_atom(monkeypatch):
-    # the leaf tests read each atom and anticomponent as a mask of g: gu
-    # copies nothing, and gut copies one true-twin quotient for its global
-    # searches plus one per anticomponent of two or more vertices of each
-    # atom
+    # the leaf tests read each atom, anticomponent and twin class as a mask
+    # of g, and a true-twin quotient is copied only where a search reads
+    # it: gu and the gutcap leaves copy nothing, gt copies one per atom of
+    # two or more twin classes, gut one per anticomponent of two or more
+    # vertices, and the global searches of gut and gutcap one for the whole
+    # graph, or none when no two vertices are twins
+    def has_twins(g):
+        return len(true_twin_partition(g)[1]) < g.n
+
     copies = []
     original = graphs.induced_subgraph
 
@@ -571,7 +577,31 @@ def test_leaf_tests_copy_no_atom(monkeypatch):
         acs = sum(ac.bit_count() > 1 for node in build_tree(g).leaves() for ac in anticomponents(g, node.mask))
         copies.clear()
         assert recognize_gut(g).member
-        assert len(copies) == 1 + acs, (seed, g.n)
+        assert len(copies) == has_twins(g) + acs, (seed, g.n)
+        g = gen_class_member(seed, "gutcap", pieces=4, max_n=16)
+        copies.clear()
+        assert recognize_gutcap(g).member
+        mwc_mwss_gutcap(WeightedGraph(g, (1,) * g.n))
+        assert len(copies) == 2 * has_twins(g), (seed, g.n)
+        g = gen_class_member(seed, "gt", pieces=4, max_n=16)
+        quotients = sum(len(true_twin_partition(g, node.mask)[0]) > 1 for node in build_tree(g).leaves())
+        copies.clear()
+        assert recognize_gt(g).member
+        assert len(copies) == quotients, (seed, g.n)
+    # a clique atom is a clique piece with no quotient
+    copies.clear()
+    assert recognize_gt(complete_graph(6)).member
+    assert mwc_gt(WeightedGraph(complete_graph(6), (1,) * 6))[0] == 6
+    assert copies == []
+    # no two vertices of a path or a long cycle are twins, so no global
+    # copy; a long cycle is one atom and one anticomponent, whose quotient
+    # the leaf tests of gut and gt copy once
+    path, cycle = path_graph(40), cycle_graph(40)
+    for recognize, on_path, on_cycle in ((recognize_gut, 0, 1), (recognize_gt, 0, 1), (recognize_gutcap, 0, 0)):
+        for g, expected in ((path, on_path), (cycle, on_cycle)):
+            copies.clear()
+            assert recognize(g).member
+            assert len(copies) == expected, (recognize.__name__, g.m)
 
 
 # The copy-based leaf tests the classes had before their leaf functions read
@@ -599,7 +629,7 @@ def _ref_gut_leaf(g, atom):
             out.append((classes.RING, tuple(mask_of(verts[hverts[i]] for i in p) for p in ring.parts)))
         elif classes._twin_quotient_search(h)(find_long_hole) is None:
             out.append((classes.LONG_HOLE_FREE, (mask,)))
-        elif alpha_at_most_2(h):
+        elif not any(is_stable_set(h, t) for t in combinations(range(h.n), 3)):
             out.append((classes.ALPHA2, (mask,)))
         else:
             raise NotInClassError(
@@ -667,7 +697,7 @@ def _ref_gutcap_leaf(g, atom):
                 leaf=frozenset(verts),
                 anticomponent=frozenset(verts[i] for i in ac),
             )
-        out.append((classes.HYPERHOLE, tuple(mask_of(verts[hverts[i]] for i in p) for p in parts)))
+        out.append((classes.HYPERHOLE, tuple(mask_of(verts[hverts[i]] for i in iter_bits(p)) for p in parts)))
     return out
 
 
@@ -742,7 +772,7 @@ def test_mask_leaf_tests_match_copy_based_references():
             sub, verts = induced_subgraph(g, bits_list(mask))
             parts = recognize_hyperhole(sub)
             if parts is not None:
-                parts = [tuple(verts[i] for i in p) for p in parts]
+                parts = [mask_of(verts[i] for i in iter_bits(p)) for p in parts]
                 seen["hyperhole"] += 1
             assert recognize_hyperhole(g, mask) == parts, (g.adj, mask)
             order = _single_cycle_order(sub)

@@ -304,7 +304,7 @@ def test_hole_expansion_classifies_attachments():
     assert by_rim[0] == {0, 6}
     assert by_rim[3] == {3}
     assert exp.universal == {7}
-    assert 8 not in exp.expansion_vertices()
+    assert not any(8 in s for s in exp.twin_sets)
     with pytest.raises(ValueError):
         hole_expansion(g, Certificate(CAP, canonical_cycle(range(6)), center=8))
     with pytest.raises(ValueError):

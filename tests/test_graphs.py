@@ -11,7 +11,6 @@ from tcfree.graphs import (
     Coloring,
     Graph,
     WeightedGraph,
-    alpha_at_most_2,
     anticomponents,
     bits_list,
     complement,
@@ -23,6 +22,7 @@ from tcfree.graphs import (
     mask_of,
     masked_components,
     shortest_path,
+    stable_triple,
     true_twin_partition,
 )
 
@@ -90,28 +90,28 @@ def test_masked_components_cover_mask(g):
     assert acc == mask
 
 
-@given(graphs(min_n=2))
-def test_true_twin_partition(g):
-    classes, quotient, reps = true_twin_partition(g)
-    assert sorted(v for c in classes for v in c) == list(range(g.n))
-    assert quotient.n == len(classes)
-    for cls in classes:
-        for u in cls:
-            for v in cls:
-                assert g.closed_mask(u) | (1 << v) == g.closed_mask(v) | (1 << u)
-    assert reps == sorted(min(c) for c in classes) == [min(c) for c in classes]
-    assert len({g.closed_mask(r) for r in reps}) == len(reps)
-    for i, j in combinations(range(len(classes)), 2):
-        assert quotient.has_edge(i, j) == g.has_edge(reps[i], reps[j])
+@given(graphs(min_n=2), st.integers(0, 255))
+def test_true_twin_partition(g, bits):
+    for mask in (None, g.full_mask() & ~bits):
+        within = g.full_mask() if mask is None else mask
+        classes, reps = true_twin_partition(g, mask)
+        # disjoint nonempty masks covering the vertices, by least vertex
+        assert sum(classes) == within and all(classes)
+        assert sum(c.bit_count() for c in classes) == within.bit_count()
+        assert reps == [min(iter_bits(c)) for c in classes] == sorted(reps)
+        # each class is every vertex with its closed neighborhood in mask
+        for c, r in zip(classes, reps):
+            assert c == mask_of(v for v in iter_bits(within) if g.closed_mask(v) & within == g.closed_mask(r) & within)
 
 
-@given(graphs())
-def test_alpha_at_most_2_matches_triples(g):
-    expected = not any(
-        not g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c)
-        for a, b, c in combinations(range(g.n), 3)
+@given(graphs(), st.integers(0, 255))
+def test_stable_triple_is_the_least_stable_triple(g, bits):
+    mask = g.full_mask() & ~bits
+    expected = next(
+        (t for t in combinations(bits_list(mask), 3) if is_stable_set(g, t)),
+        None,
     )
-    assert alpha_at_most_2(g) == expected
+    assert stable_triple(g, mask) == expected
 
 
 def test_dominates_and_set_predicates():

@@ -1,6 +1,7 @@
 """Ring and hyperhole recognition, coloring, and optimization."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import graphs, recognize_hyperantihole
 from tcfree.chordal import is_chordal
 from tcfree.classes import HYPERHOLE, Piece
-from tcfree.detectors import PROPER_WHEEL, PRISM, PYRAMID, THETA, UNIVERSAL_WHEEL, find_cap
+from tcfree.detectors import PROPER_WHEEL, PRISM, PYRAMID, THETA, UNIVERSAL_WHEEL, canonical_cycle, find_cap
 from tcfree.generators import (
     complete_graph,
     cycle_graph,
@@ -18,7 +19,7 @@ from tcfree.generators import (
     gen_ring,
     path_graph,
 )
-from tcfree.graphs import Coloring, Graph, WeightedGraph, induced_subgraph, is_proper_coloring, mask_of
+from tcfree.graphs import Coloring, Graph, WeightedGraph, induced_subgraph, is_proper_coloring, iter_bits
 from tcfree.oracles import (
     brute_alpha_w,
     brute_chi,
@@ -99,7 +100,16 @@ def test_recognize_hyperhole():
     g = gen_hyperhole(0, 5, (2, 1, 3, 1, 2))
     parts = recognize_hyperhole(g)
     assert parts is not None and len(parts) == 5
-    assert sorted(len(p) for p in parts) == [1, 1, 2, 2, 3]
+    assert sorted(p.bit_count() for p in parts) == [1, 1, 2, 2, 3]
+    # masks of g partitioning it, consecutive parts complete and the others
+    # anticomplete, listed as canonical_cycle lists their least vertices
+    assert sum(parts) == g.full_mask()
+    for i, j in combinations(range(5), 2):
+        complete = min(j - i, 5 - (j - i)) == 1
+        for u in iter_bits(parts[i]):
+            assert g.adj[u] & parts[j] == (parts[j] if complete else 0)
+    least = [(p & -p).bit_length() - 1 for p in parts]
+    assert tuple(least) == canonical_cycle(least)
     # a ring that is not a hyperhole is rejected
     staircase = Graph(
         5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 1)]
@@ -190,7 +200,7 @@ def test_weighted_cycle_color_validation():
 
 
 def _hyperhole_piece(g: Graph) -> Piece:
-    return Piece(HYPERHOLE, tuple(mask_of(p) for p in recognize_hyperhole(g)))
+    return Piece(HYPERHOLE, tuple(recognize_hyperhole(g)))
 
 
 @given(st.integers(0, 2**30), st.integers(4, 6), st.data())

@@ -40,3 +40,17 @@ def test_structure_census_counts_piece_families(capsys):
         assert trees == 5 and len(counts) == len(families), (cls, counts)
         # one piece per gt atom; one or more per atom of the other classes
         assert sum(counts) == leaves if cls == "gt" else sum(counts) >= leaves, (cls, leaves, counts)
+
+
+def test_chi_sweep_reads_one_verify_chi_report_per_bound(capsys):
+    assert _load("chi_sweep").main(["--trials", "3", "--max-n", "9"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["class", "bound", "fail"]
+    assert [row.split()[0] for row in rows] == list(classes.CHI_BOUNDS)
+    for row in rows:
+        cls = row.split()[0]
+        assert row[16:37].strip() == classes.CHI_BOUNDS[cls][0], row
+        fail, ratio, seed, *gaps = row[37:].split()
+        assert fail == "0" and 0 < float(ratio) <= 1 and seed.startswith("@"), row
+        # the gap histogram counts every trial once
+        assert sum(int(gap.split(":")[1]) for gap in gaps) == 3, row
