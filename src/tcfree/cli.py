@@ -170,12 +170,6 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(_json_text(payload) + "\n")
 
 
-def _node_list(texts) -> str:
-    """A list nested in a tree node, as json.dumps(indent=2) writes it."""
-    body = ",\n        ".join(texts)
-    return f"[\n        {body}\n      ]" if body else "[]"
-
-
 def _write_tree(tree: DecompositionTree, n: int) -> None:
     """Write the tree as json.dumps(sort_keys=True, indent=2) wrote its
     {"nodes": [...], "root": ...} dict, in 1-based labels made once. Each
@@ -184,18 +178,25 @@ def _write_tree(tree: DecompositionTree, n: int) -> None:
     labels = [str(v + 1) for v in range(n)]
     # bin(mask) reversed less its "0b", as bytes 0 and 1: a selector per vertex
     bit = bytes.maketrans(b"01", b"\x00\x01")
+    item = ",\n        "
     write = sys.stdout.write
     write('{\n  "nodes": [')
     sep = "\n"
     for node in tree.nodes:
-        cutset = "null" if node.cutset is None else _node_list(map(labels.__getitem__, node.cutset))
-        vertices = compress(labels, bin(node.mask)[:1:-1].encode().translate(bit))
-        write(
-            f'{sep}    {{\n      "children": {_node_list(map(str, node.children))},'
-            f'\n      "cutset": {cutset},\n      "id": {node.id},'
-            f'\n      "kind": "{node.kind}",'
-            f'\n      "vertices": {_node_list(vertices)}\n    }}'
-        )
+        vertices = item.join(compress(labels, bin(node.mask)[:1:-1].encode().translate(bit)))
+        if node.cutset is None:
+            write(
+                f'{sep}    {{\n      "children": [],\n      "cutset": null,\n      "id": {node.id},'
+                f'\n      "kind": "leaf",\n      "vertices": [\n        {vertices}\n      ]\n    }}'
+            )
+        else:
+            # an empty cutset splits a disconnected graph
+            cutset = f"[\n        {item.join(map(labels.__getitem__, node.cutset))}\n      ]" if node.cutset else "[]"
+            write(
+                f'{sep}    {{\n      "children": [\n        {node.children[0]},\n        {node.children[1]}\n      ],'
+                f'\n      "cutset": {cutset},\n      "id": {node.id},\n      "kind": "internal",'
+                f'\n      "vertices": [\n        {vertices}\n      ]\n    }}'
+            )
         sep = ",\n"
     write(f'\n  ],\n  "root": {tree.root}\n}}\n')
 

@@ -24,7 +24,11 @@ weight levels, O(n^2) mask operations per pass): every clique minimal
 separator of G is the later neighborhood of a generator of the search, a
 vertex whose weight did not grow past the previous pick's (Tarjan,
 "Decomposition by clique separators", 1985; Berry, Pogorelcnik and Simonet,
-"An introduction to clique minimal separator decomposition", 2010).
+"An introduction to clique minimal separator decomposition", 2010). The
+pass records each split at the generator's pick, where that neighborhood
+is the generator's neighbors among the vertices numbered so far in G plus
+fill, a clique of G exactly when no fill edge lies inside it; build_tree
+only walks the splits back and floods each atom's component.
 """
 
 from __future__ import annotations
@@ -32,16 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .graphs import (
-    Coloring,
-    Graph,
-    WeightedGraph,
-    bits_list,
-    component_of,
-    is_clique,
-    is_clique_mask,
-    iter_bits,
-)
+from .graphs import Coloring, Graph, WeightedGraph, bits_list, component_of, is_clique
 
 LeafMwcSolver = Callable[[WeightedGraph], tuple]
 LeafColorer = Callable[[Graph], tuple[dict[int, int], int]]
@@ -55,14 +50,18 @@ subgraph that m induces, in wg's labels. solve_mwss asks it for A and for
 A minus N(c), each cutset vertex c, with the weights of that chain node."""
 
 
-def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
+def _mcsm(g: Graph, mask: int) -> tuple[list[int], list[int], int, list[tuple[int, int]]]:
     """Maximum cardinality search with fill-in on the induced subgraph,
     MCS-M+ in the terms of Berry, Pogorelcnik and Simonet. Returns an
-    elimination order of mask (eliminated first comes first), per-vertex
-    fill adjacency masks, and the mask of generators: the vertices picked
-    with a weight no greater than that of the previous pick. Graph plus fill
-    is chordal and the fill is inclusion-minimal; the later neighborhood of a
-    generator in graph plus fill is a minimal separator.
+    elimination order of mask (eliminated first comes first), the fill
+    adjacency mask of each vertex of g, the mask of generators (the vertices
+    picked with a weight no greater than that of the previous pick), and
+    the splits: (v, cutset) in pick order for each generator v whose cutset
+    is a clique of g. The cutset is v's later neighborhood in graph plus
+    fill, which is chordal with an inclusion-minimal fill; it is a minimal
+    separator, and a clique of g unless a fill edge lies inside it. Both
+    ends of such an edge were picked before v, so the test at v's pick looks
+    at the cutset's vertices with a fill edge, until at most one is left.
 
     The unnumbered vertices are kept in one mask per weight, and each pick
     is the least vertex of the highest nonempty level. The minimax rule
@@ -70,66 +69,78 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
     runs through unnumbered vertices all of weight below j, that is, when u
     touches the component of v in v plus the levels below j. So one flood
     from v decides every raise of a pick: walking the levels upward, the
-    vertices of level j that touch the flood are raised, and then level j
-    joins the flood. Each vertex enters the flood at most once, so a pick
-    costs O(n) mask operations and a pass O(n^2).
+    vertices of level j that touch the flood are raised, and the flood grows
+    from them through the levels walked. Each vertex enters the flood at
+    most once, so a pick costs O(n) mask operations and a pass O(n^2).
 
-    The walk stops as soon as every unnumbered vertex is in a walked level
-    or raised: nothing is left to raise, so the flood through the last
-    level walked is skipped. On a path numbered from one end, every pick
-    then stops after level 0. The worst case is unchanged: on a long cycle
-    the far end of the path left over sits unraised at the pick's weight
-    until the flood reaches it, so every pick still floods every unnumbered
-    vertex, Theta(n^2) mask operations per pass.
+    The walk stops once every unnumbered vertex, or every unnumbered
+    neighbor of the flood, is walked: on a path numbered from one end, every
+    pick stops after level 0. On a long cycle the far end of the path left
+    over sits unraised at the pick's weight until the flood reaches it, so
+    every pick still floods every unnumbered vertex, Theta(n^2) mask
+    operations per pass.
     """
     adj = g.adj
-    fills = dict.fromkeys(iter_bits(mask), 0)
+    fills = [0] * g.n
+    filled = 0  # the vertices with a fill edge
     level = [0] * (mask.bit_count() + 1)
     level[0] = mask
     top = 0
     unnumbered = mask
     selection: list[int] = []
     generators = 0
+    splits: list[tuple[int, int]] = []
     previous = -1  # so the first pick is no generator
     while unnumbered:
         low = level[top] & -level[top]
         v = low.bit_length() - 1
-        if top <= previous:
-            generators |= low
-        previous = top
         selection.append(v)
         level[top] ^= low
         unnumbered ^= low
+        if top <= previous:
+            generators |= low
+            cutset = adj[v] & (mask ^ unnumbered) | fills[v]
+            test = cutset & filled
+            while test & (test - 1):
+                b = test & -test
+                if fills[b.bit_length() - 1] & cutset:
+                    break
+                test ^= b
+            else:
+                splits.append((v, cutset))
+        previous = top
 
         # flood: the component of v in v plus the levels walked so far;
-        # touch: its unnumbered neighbors; walked: the levels walked so far
-        flood = low
-        touch = adj[v] & unnumbered
-        walked = 0
+        # walked: v and those levels, raised vertices included; pending: the
+        # flood's unnumbered neighbors not walked yet, raised at their level
+        flood = walked = low
+        pending = adj[v] & unnumbered
         raised_all = 0
         for j in range(top + 1):
-            if not touch & ~walked:
-                break
-            # vertices raised out of level j - 1 are in the flood already
-            members = level[j] & ~flood
-            raised = touch & members
+            members = level[j]
+            walked |= members
+            raised = pending & members
             if raised:
-                level[j] ^= raised
+                pending ^= raised
+                level[j] = members ^ raised
                 level[j + 1] |= raised
                 raised_all |= raised
-            walked |= members
-            if not unnumbered & ~walked & ~raised_all:
-                break
-            frontier = raised
-            while frontier:
-                flood |= frontier
-                grow = 0
+                if not unnumbered & ~walked:
+                    break
+                frontier = raised
+                reach = 0  # the neighbors of the flood's growth
+                dry = walked & ~flood & ~raised  # walked, not flooded yet
                 while frontier:
-                    b = frontier & -frontier
-                    grow |= adj[b.bit_length() - 1]
-                    frontier ^= b
-                touch |= grow & unnumbered
-                frontier = grow & walked & ~flood
+                    while frontier:
+                        b = frontier & -frontier
+                        reach |= adj[b.bit_length() - 1]
+                        frontier ^= b
+                    frontier = reach & dry
+                    dry ^= frontier
+                flood = walked & ~dry
+                pending |= reach & unnumbered & ~walked
+            if not pending:
+                break
         if level[top + 1]:
             top += 1
         while top and not level[top]:
@@ -137,9 +148,12 @@ def _mcsm(g: Graph, mask: int) -> tuple[list[int], dict[int, int], int]:
         fill = raised_all & ~adj[v]
         if fill:
             fills[v] |= fill
-            for u in iter_bits(fill):
-                fills[u] |= low
-    return list(reversed(selection)), fills, generators
+            filled |= fill | low
+            while fill:
+                b = fill & -fill
+                fills[b.bit_length() - 1] |= low
+                fill ^= b
+    return list(reversed(selection)), fills, generators, splits
 
 
 class TreeNode(NamedTuple):
@@ -172,30 +186,23 @@ def build_tree(g: Graph) -> DecompositionTree:
     """Clique cutset decomposition tree whose leaves are exactly the atoms:
     the maximal vertex sets that induce subgraphs without a clique cutset.
 
-    One MCS-M+ pass gives an elimination order and its generators. Walking
-    the order, each generator v whose later neighborhood S in the
-    triangulation is a clique of g splits off the atom C u S, where C is the
-    component of what is left minus S that holds v; what is left at the end
-    is the last atom (Tarjan, "Decomposition by clique separators", 1985;
-    Berry, Pogorelcnik and Simonet, "An introduction to clique minimal
-    separator decomposition", 2010).
+    One MCS-M+ pass records the splits: each generator v whose later
+    neighborhood S in the triangulation is a clique of g, tested from the
+    fill at v's pick. Walking them back from the last pick, each splits off
+    the atom C u S, where C is the component of what is left minus S that
+    holds v; what is left at the end is the last atom (Tarjan,
+    "Decomposition by clique separators", 1985; Berry, Pogorelcnik and
+    Simonet, "An introduction to clique minimal separator decomposition",
+    2010).
 
     The tree is a chain: each internal node carries the cutset S, its first
     child is the atom and its second the rest. Leaves come first in the
     node list, then the internal nodes from the innermost out, so the root
     is last. At most 2n - 1 nodes for n vertices."""
     rest = g.full_mask()
-    order, fills, generators = _mcsm(g, rest)
     leaves: list[int] = []
     cutsets: list[int] = []
-    later = rest
-    for v in order:
-        later &= ~(1 << v)
-        if not generators >> v & 1:
-            continue
-        cutset = (g.adj[v] | fills[v]) & later
-        if not is_clique_mask(g, cutset):
-            continue
+    for v, cutset in reversed(_mcsm(g, rest)[3]):
         comp = component_of(g, v, rest & ~cutset)
         leaves.append(comp | cutset)
         cutsets.append(cutset)

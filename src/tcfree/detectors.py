@@ -283,9 +283,13 @@ def find_cap(g: Graph) -> Optional[Certificate]:
     closed = [g.closed_mask(v) for v in range(g.n)]
     for c in range(g.n):
         for x in iter_bits(g.adj[c]):
+            # holds every cand_a of x: without it no y can pass
+            x_side = g.adj[x] & ~closed[c]
+            if not x_side:
+                continue
             above_x = ~((1 << (x + 1)) - 1)
             for y in iter_bits(g.adj[c] & g.adj[x] & above_x):
-                cand_a = g.adj[x] & ~closed[y] & ~closed[c]
+                cand_a = x_side & ~closed[y]
                 cand_b = g.adj[y] & ~closed[x] & ~closed[c]
                 if not (cand_a and cand_b):
                     continue
@@ -341,9 +345,14 @@ def _find_c6bar(g: Graph) -> Optional[Certificate]:
     for s in range(g.n):
         above = ~((1 << (s + 1)) - 1)
         for p in iter_bits(adj[s] & above):
+            # hold every t_side and u_side of the edge sp
+            s_side = adj[s] & ~adj[p] & above & ~(1 << p)
+            p_side = adj[p] & ~adj[s] & above
+            if not (s_side and p_side):
+                continue
             for q in iter_bits(adj[s] & adj[p] & ~((1 << (p + 1)) - 1)):
-                t_side = adj[s] & ~adj[p] & ~adj[q] & above
-                u_side = adj[p] & ~adj[s] & ~adj[q] & above
+                t_side = s_side & ~adj[q]
+                u_side = p_side & ~adj[q]
                 w_side = adj[q] & ~adj[s] & ~adj[p] & above
                 if not (t_side and u_side and w_side):
                     continue

@@ -98,11 +98,14 @@ def _graph_from_masks(n: int, adj: Sequence[int]) -> Graph:
 def component_of(g: Graph, v: int, mask: int) -> int:
     """The connected component holding v of g restricted to the vertices in
     mask, as a mask; v must lie in mask."""
+    adj = g.adj
     comp = frontier = 1 << v
     while frontier:
         grow = 0
-        for u in iter_bits(frontier):
-            grow |= g.adj[u]
+        while frontier:
+            b = frontier & -frontier
+            grow |= adj[b.bit_length() - 1]
+            frontier ^= b
         frontier = grow & mask & ~comp
         comp |= frontier
     return comp

@@ -30,11 +30,12 @@ from tcfree.decomposition import (
     solve_mwc,
     solve_mwss,
 )
-from tcfree.generators import complete_graph, complete_multipartite, cycle_graph, path_graph
+from tcfree.generators import complete_graph, complete_multipartite, cycle_graph, gen_class_member, path_graph
 from tcfree.graphs import (
     Graph,
     WeightedGraph,
     bits_list,
+    component_of,
     induced_subgraph,
     is_clique,
     is_clique_mask,
@@ -59,7 +60,7 @@ def _ref_mcsm(g, mask):
     unnumbered = mask
     remaining = bits_list(mask)
     weight = dict.fromkeys(remaining, 0)
-    fills = dict.fromkeys(remaining, 0)
+    fills = [0] * g.n
     selection = []
     generators = 0
     previous = -1
@@ -96,10 +97,12 @@ def _ref_mcsm(g, mask):
 
 
 def _sparse_graphs(rng):
-    """Paths (numbered in order and shuffled), stars and long cycles: the
-    graphs on which _mcsm's level walk stops early, or cannot."""
+    """Paths (numbered in order, from the middle and shuffled), stars and
+    long cycles: the graphs on which _mcsm's level walk stops early, or
+    cannot."""
     for n in (2, 3, 9, 40, 97):
         yield path_graph(n)
+        yield Graph(n, [((i + n // 2) % n, (i + 1 + n // 2) % n) for i in range(n - 1)])
         perm = rng.sample(range(n), n)
         yield Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
         yield complete_multipartite([1, n])
@@ -113,7 +116,57 @@ def test_mcsm_matches_the_minimax_reference():
     graphs = [g for g, _ in differential_graphs()] + list(_sparse_graphs(random.Random(97)))
     for g in graphs:
         for mask in (g.full_mask(), rng.randrange(1 << g.n), rng.randrange(1 << g.n)):
-            assert _mcsm(g, mask) == _ref_mcsm(g, mask), (g.adj, mask)
+            assert _mcsm(g, mask)[:3] == _ref_mcsm(g, mask), (g.adj, mask)
+
+
+# The tree build_tree made before _mcsm recorded the splits at each pick: a
+# second walk over the elimination order, each generator's cutset taken from
+# a per-vertex mask of the vertices after it and tested with is_clique_mask.
+
+
+def _ref_build_tree(g):
+    """(tree, generators whose cutset is not a clique) of the two-phase walk."""
+    rest = g.full_mask()
+    order, fills, generators = _ref_mcsm(g, rest)
+    leaves, cutsets, rejected = [], [], 0
+    later = rest
+    for v in order:
+        later &= ~(1 << v)
+        if not generators >> v & 1:
+            continue
+        cutset = (g.adj[v] | fills[v]) & later
+        if not is_clique_mask(g, cutset):
+            rejected += 1
+            continue
+        comp = component_of(g, v, rest & ~cutset)
+        leaves.append(comp | cutset)
+        cutsets.append(cutset)
+        rest &= ~comp
+    leaves.append(rest)
+    nodes = [TreeNode(i, "leaf", m, None, ()) for i, m in enumerate(leaves)]
+    child = len(leaves) - 1
+    for i in reversed(range(len(cutsets))):
+        rest |= leaves[i]
+        nodes.append(TreeNode(len(nodes), "internal", rest, tuple(iter_bits(cutsets[i])), (i, child)))
+        child = len(nodes) - 1
+    return DecompositionTree(tuple(nodes), child), rejected
+
+
+def test_build_tree_matches_the_two_phase_walk():
+    members = [
+        gen_class_member(seed, cls, pieces=n // 4, max_n=n)
+        for seed in range(3)
+        for cls in ("gut", "gu", "gt", "gutcap")
+        for n in (30, 60, 120)
+    ]
+    graphs = [g for g, _ in differential_graphs()] + list(_sparse_graphs(random.Random(97))) + members
+    rejected = 0
+    for g in graphs:
+        ref, ref_rejected = _ref_build_tree(g)
+        assert build_tree(g) == ref, g.adj
+        rejected += ref_rejected
+    # the fill test turns down generators, so it is exercised
+    assert rejected > 0
 
 
 # The cut search build_tree ran before it took the atoms from one MCS-M
@@ -129,7 +182,7 @@ def _ref_cut_in_mask(g, mask):
     if len(comps) > 1:
         a = comps[0]
         return a, mask & ~a, 0
-    peo, fills, _ = _mcsm(g, mask)
+    peo, fills, _, _ = _mcsm(g, mask)
     later = mask
     for v in peo:
         later &= ~(1 << v)
@@ -163,7 +216,7 @@ def _ref_extreme_cut_in_mask(g, mask):
         a, b, c = a2, b | b2, c2
 
 
-def _ref_build_tree(g):
+def _ref_recursive_tree(g):
     nodes = []
 
     def rec(mask):
@@ -184,7 +237,7 @@ def _ref_build_tree(g):
 def test_build_tree_leaves_are_the_reference_maximal_leaves():
     for g, chordal in differential_graphs():
         tree = build_tree(g)
-        ref = _ref_build_tree(g)
+        ref = _ref_recursive_tree(g)
         leaves = [nd.mask for nd in tree.leaves()]
         ref_leaves = {nd.mask for nd in ref.leaves()}
         maximal = {m for m in ref_leaves if not any(m != o and m & ~o == 0 for o in ref_leaves)}
