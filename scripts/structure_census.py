@@ -3,9 +3,9 @@
 
 Members of the four classes decompose along clique cutsets into atoms, and
 each atom is a basic graph or a join of basic graphs. The census generates
-seeded members, builds the decomposition tree for each, and runs the
-class's own leaf function on every atom: the pieces it returns are the
-atom's basic graphs. It prints a table per class with tree size statistics
+seeded members and reads each one's classes.analyze: the decomposition
+tree, and the class's own leaf function run on every atom, whose pieces
+are the atom's basic graphs. It prints a table per class with tree size statistics
 and one column per piece family (classes.Piece): how many pieces of that
 family the atoms held. A gu, gutcap or gut atom gives one piece per
 anticomponent, a gt atom one piece.
@@ -14,8 +14,8 @@ Expectations to check in the output: each class shows only its own
 families (gt: clique, ring, antihole, one piece per leaf; gu and gutcap:
 chordal and hyperhole; gut: clique for each single-vertex anticomponent,
 then ring, long-hole-free and alpha2, the first test that passes). A
-member whose leaf test fails raises NotInClassError, which would be a
-generator or recognizer bug.
+member that the class's analysis rejects raises NotInClassError, which
+would be a generator or recognizer bug.
 
 Example:
     python scripts/structure_census.py --trials 200 --max-n 13
@@ -32,10 +32,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tcfree import classes
-from tcfree.decomposition import Join, build_tree
+from tcfree.decomposition import Join
 from tcfree.generators import gen_class_member
 
-LEAVES = {"gut": classes._gut_leaf, "gu": classes._gu_leaf, "gt": classes._gt_leaf, "gutcap": classes._gutcap_leaf}
 FAMILIES = (
     classes.CLIQUE,
     classes.CHORDAL,
@@ -58,16 +57,15 @@ class CensusConfig:
 def census(cls: str, cfg: CensusConfig) -> tuple[Counter, Counter]:
     families: Counter = Counter()
     tree_stats: Counter = Counter()
-    leaf = LEAVES[cls]
     for index in range(cfg.trials):
         g = gen_class_member(cfg.seed + index, cls, pieces=cfg.pieces, max_n=cfg.max_n)
-        tree = build_tree(g)
-        leaves = tree.leaves()
+        tree, leaves, rejection = classes.analyze(g, cls)
+        if rejection is not None:
+            raise classes.NotInClassError(rejection)
         tree_stats["trees"] += 1
         tree_stats["nodes"] += len(tree.nodes)
         tree_stats["leaves"] += len(leaves)
-        for node in leaves:
-            got = leaf(g, node.mask)
+        for got in leaves:
             families.update(piece.family for piece in (got.pieces if isinstance(got, Join) else (got,)))
     return families, tree_stats
 
@@ -83,7 +81,7 @@ def main(argv=None) -> int:
 
     header = f"{'class':<8} {'trees':>5} {'nodes':>6} {'leaves':>6}  " + "".join(f"{k:>15}" for k in FAMILIES)
     print(header)
-    for cls in LEAVES:
+    for cls in classes.CLASS_IDS:
         families, stats = census(cls, cfg)
         per_family = "".join(f"{families.get(k, 0):>15}" for k in FAMILIES)
         print(f"{cls:<8} {stats['trees']:>5} {stats['nodes']:>6} {stats['leaves']:>6}  {per_family}")

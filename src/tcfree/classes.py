@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chordal import (
     _chordal_colors,
@@ -88,21 +88,11 @@ CHI_BOUNDS: dict[str, tuple[str, Callable[[int], int]]] = {
 }
 
 class NotInClassError(ValueError):
-    """The input lies outside the class: a concrete obstruction, or the
-    decomposition leaf (and when applicable its anticomponent) that failed
-    the class's basic-family test."""
+    """The input lies outside the class, for the reason exc.rejection gives."""
 
-    def __init__(
-        self,
-        message: str,
-        certificate: Optional[Certificate] = None,
-        leaf: Optional[frozenset[int]] = None,
-        anticomponent: Optional[frozenset[int]] = None,
-    ):
-        super().__init__(message)
-        self.certificate = certificate
-        self.leaf = leaf
-        self.anticomponent = anticomponent
+    def __init__(self, rejection: Recognition):
+        super().__init__(rejection.reason)
+        self.rejection = rejection
 
 
 @dataclass(frozen=True)
@@ -135,36 +125,63 @@ class Recognition:
 
 # Each class has one leaf function, leaf(g, atom), the one place that
 # decides an atom's family: it runs the class's basic-family test on the
-# atom, a vertex mask of g, raises NotInClassError naming the failing leaf
-# on failure, and otherwise returns the atom's basic graphs in g's labels:
-# for gut, gu and gutcap a Join of one Piece per anticomponent, for gt one
-# Piece for the atom. A Piece is the basic family with its evidence, its
-# parts, and the leaf solvers built from them; gut has no solvers, so its
-# pieces are evidence only. Anticomponents and twin classes are masks of g
-# too, so no leaf copies a subgraph; the only copies are the true-twin
-# quotients that a search reads, one per non-clique gt atom and per gut
-# anticomponent of two or more vertices, and none for gutcap. The
-# recognizer and every solver of the class call it once per atom. gut and
-# gutcap also exclude graphs that their leaf tests do not see; their global
-# test raises NotInClassError with a certificate before the decomposition
-# is built.
+# atom, a vertex mask of g, and returns the rejection naming the failing
+# leaf, or the atom's basic graphs in g's labels: for gut, gu and gutcap a
+# Join of one Piece per anticomponent, for gt one Piece for the atom. A
+# Piece is the basic family with its evidence, its parts, and the leaf
+# solvers built from them; gut has no solvers, so its pieces are evidence
+# only. Anticomponents and twin classes are masks of g too, so no leaf
+# copies a subgraph; the only copies are the true-twin quotients that a
+# search reads, one per non-clique gt atom and per gut anticomponent of two
+# or more vertices, and none for gutcap. gut and gutcap also exclude graphs
+# that their leaf tests do not see; their global test returns a rejection
+# with a certificate before the decomposition is built.
 
 
-def _leaf_solvers(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> tuple[DecompositionTree, list]:
-    """The decomposition tree of g and the leaf solvers of its leaves, in
-    the order the tree lists them."""
-    if global_test is not None:
-        global_test(g)
-    tree = build_tree(g)
-    return tree, [leaf(g, node.mask) for node in tree.leaves()]
+def _leaf_rejection(reason: str, atom: int, ac: int = 0) -> Recognition:
+    return Recognition(False, None, reason, frozenset(iter_bits(atom)), frozenset(iter_bits(ac)) if ac else None)
 
 
-def _recognize_leaves(g: Graph, leaf: Callable, global_test: Optional[Callable] = None) -> Recognition:
-    try:
-        _leaf_solvers(g, leaf, global_test)
-    except NotInClassError as exc:
-        return Recognition(False, exc.certificate, str(exc), exc.leaf, exc.anticomponent)
-    return Recognition(True)
+class Analysis(NamedTuple):
+    """The decomposition tree (None on a global rejection), the leaf
+    function's answers on the leaves before the first rejection, in tree
+    order, and the rejection (None for a member)."""
+
+    tree: Optional[DecompositionTree]
+    leaves: list
+    rejection: Optional[Recognition]
+
+
+def analyze(g: Graph, cls: str) -> Analysis:
+    """The class's global test, then its leaf function on each leaf in tree
+    order up to the first rejection: the one pass that the class's
+    recognizer and solvers read."""
+    # read per call, so a leaf function patched on the module is the one run
+    leaf = {"gut": _gut_leaf, "gu": _gu_leaf, "gt": _gt_leaf, "gutcap": _gutcap_leaf}[cls]
+    global_test = {"gut": _gut_global, "gutcap": _gutcap_global}.get(cls)
+    rejection = None if global_test is None else global_test(g)
+    if rejection is not None:
+        return Analysis(None, [], rejection)
+    tree, leaves = build_tree(g), []
+    for node in tree.leaves():
+        got = leaf(g, node.mask)
+        if isinstance(got, Recognition):
+            return Analysis(tree, leaves, got)
+        leaves.append(got)
+    return Analysis(tree, leaves, None)
+
+
+def _recognize(g: Graph, cls: str) -> Recognition:
+    rejection = analyze(g, cls).rejection  # falsy, so tested against None
+    return Recognition(True) if rejection is None else rejection
+
+
+def _leaf_solvers(g: Graph, cls: str) -> tuple[DecompositionTree, list]:
+    """The tree of a member and its leaves' solvers; NotInClassError else."""
+    tree, leaves, rejection = analyze(g, cls)
+    if rejection is not None:
+        raise NotInClassError(rejection)
+    return tree, leaves
 
 
 def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:
@@ -336,7 +353,7 @@ class Piece:
 # gut
 
 
-def _gut_leaf(g: Graph, atom: int) -> Join:
+def _gut_leaf(g: Graph, atom: int) -> Join | Recognition:
     """The leaf's anticomponents as a Join: a single vertex is a clique,
     and every other anticomponent h must be a long ring, or long-hole-free,
     or have no three pairwise nonadjacent vertices, tested in that order.
@@ -360,27 +377,25 @@ def _gut_leaf(g: Graph, atom: int) -> Join:
         elif stable_triple(g, ac) is None:
             out.append(Piece(ALPHA2, (ac,)))
         else:
-            raise NotInClassError(
-                "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
-                leaf=frozenset(iter_bits(atom)),
-                anticomponent=frozenset(iter_bits(ac)),
-            )
+            reason = "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three"
+            return _leaf_rejection(reason, atom, ac)
     return Join(tuple(out))
 
 
-def _gut_global(g: Graph) -> None:
+def _gut_global(g: Graph) -> Optional[Recognition]:
     search = _twin_quotient_search(g)
     for kind in (K23, C6BAR, W54):
         cert = search(find_small_obstruction, kind)
         if cert is not None:
-            raise NotInClassError(f"contains {kind}", certificate=cert)
+            return Recognition(False, cert, f"contains {kind}")
+    return None
 
 
 def recognize_gut(g: Graph) -> Recognition:
     """The class forbids exactly the Truemper configurations that are
     anticonnected and contain a long hole, plus three small graphs. So:
     reject on a small obstruction, then test each decomposition leaf."""
-    return _recognize_leaves(g, _gut_leaf, _gut_global)
+    return _recognize(g, "gut")
 
 
 # ---------------------------------------------------------------------------
@@ -423,39 +438,37 @@ def recognize_bu_h(g: Graph, mask: Optional[int] = None) -> Optional[tuple[Piece
     return tuple([piece if ac == h else Piece(CHORDAL, (ac,)) for ac in acs])
 
 
-def _gu_leaf(g: Graph, atom: int) -> Join:
+def _gu_leaf(g: Graph, atom: int) -> Join | Recognition:
     pieces = recognize_bu_h(g, atom)
-    if pieces is None:
-        raise NotInClassError(
-            "leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices",
-            leaf=frozenset(iter_bits(atom)),
-        )
-    return Join(pieces)
+    if pieces is not None:
+        return Join(pieces)
+    reason = "leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices"
+    return _leaf_rejection(reason, atom)
 
 
 def recognize_gu(g: Graph) -> Recognition:
-    return _recognize_leaves(g, _gu_leaf)
+    return _recognize(g, "gu")
 
 
 def mwc_gu(wg: WeightedGraph) -> tuple:
-    tree, joins = _leaf_solvers(wg.graph, _gu_leaf)
+    tree, joins = _leaf_solvers(wg.graph, "gu")
     return solve_mwc(wg, tree, [j.mwc for j in joins])
 
 
 def mwss_gu(wg: WeightedGraph) -> tuple:
-    tree, joins = _leaf_solvers(wg.graph, _gu_leaf)
+    tree, joins = _leaf_solvers(wg.graph, "gu")
     return solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
 def color_gu(g: Graph) -> Coloring:
-    tree, joins = _leaf_solvers(g, _gu_leaf)
+    tree, joins = _leaf_solvers(g, "gu")
     return solve_coloring(g, tree, [j.color for j in joins])
 
 
 def mwc_mwss_gu(wg: WeightedGraph) -> tuple:
     """((clique weight, clique), (stable weight, stable set)), over one
     decomposition tree and one classification of its leaves."""
-    tree, joins = _leaf_solvers(wg.graph, _gu_leaf)
+    tree, joins = _leaf_solvers(wg.graph, "gu")
     return solve_mwc(wg, tree, [j.mwc for j in joins]), solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
@@ -463,7 +476,7 @@ def mwc_mwss_gu(wg: WeightedGraph) -> tuple:
 # gt
 
 
-def _gt_leaf(g: Graph, atom: int) -> Piece:
+def _gt_leaf(g: Graph, atom: int) -> Piece | Recognition:
     """The atom's basic family and evidence. Contracted by true twins, a gt
     atom is a single vertex (the atom is a clique), a ring, or the
     7-antihole (the atom is a 7-hyperantihole). The twin classes come from
@@ -481,14 +494,11 @@ def _gt_leaf(g: Graph, atom: int) -> Piece:
         order = _single_cycle_order(complement(quotient))
         if order is not None:
             return Piece(ANTIHOLE, tuple(classes[i] for i in order))
-    raise NotInClassError(
-        "leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole",
-        leaf=frozenset(iter_bits(atom)),
-    )
+    return _leaf_rejection("leaf true-twin quotient is not a ring, a single vertex, or a 7-antihole", atom)
 
 
 def recognize_gt(g: Graph) -> Recognition:
-    return _recognize_leaves(g, _gt_leaf)
+    return _recognize(g, "gt")
 
 
 def mwc_gt(wg: WeightedGraph) -> tuple:
@@ -496,12 +506,12 @@ def mwc_gt(wg: WeightedGraph) -> tuple:
     atom solved from its basic family (see Piece). Every atom gets the
     recognizer's leaf test, so this rejects exactly what recognize_gt
     rejects."""
-    tree, atoms = _leaf_solvers(wg.graph, _gt_leaf)
+    tree, atoms = _leaf_solvers(wg.graph, "gt")
     return solve_mwc(wg, tree, [atom.mwc for atom in atoms])
 
 
 def mwss_gt(wg: WeightedGraph) -> tuple:
-    tree, atoms = _leaf_solvers(wg.graph, _gt_leaf)
+    tree, atoms = _leaf_solvers(wg.graph, "gt")
     return solve_mwss(wg, tree, [atom.mwss for atom in atoms])
 
 
@@ -509,7 +519,7 @@ def mwss_gt(wg: WeightedGraph) -> tuple:
 # gutcap
 
 
-def _gutcap_leaf(g: Graph, atom: int) -> Join:
+def _gutcap_leaf(g: Graph, atom: int) -> Join | Recognition:
     """The leaf's anticomponents as a Join: each must be chordal or a
     hyperhole with at least 5 parts (an anticomponent is never a
     4-hyperhole, whose complement is disconnected)."""
@@ -520,50 +530,45 @@ def _gutcap_leaf(g: Graph, atom: int) -> Join:
             continue
         parts = recognize_hyperhole(g, ac)
         if parts is None or len(parts) < 5:
-            raise NotInClassError(
-                "leaf anticomponent is neither chordal nor a long hyperhole",
-                leaf=frozenset(iter_bits(atom)),
-                anticomponent=frozenset(iter_bits(ac)),
-            )
+            return _leaf_rejection("leaf anticomponent is neither chordal nor a long hyperhole", atom, ac)
         out.append(Piece(HYPERHOLE, tuple(parts)))
     return Join(tuple(out))
 
 
-def _gutcap_global(g: Graph) -> None:
+def _gutcap_global(g: Graph) -> Optional[Recognition]:
     """The leaf test passes K23, a join of two stable sets, and never sees
     a cap whole, since a cap has a clique cutset."""
     search = _twin_quotient_search(g)
     cert = search(find_small_obstruction, K23)
     if cert is not None:
-        raise NotInClassError(f"contains {K23}", certificate=cert)
+        return Recognition(False, cert, f"contains {K23}")
     cert = search(find_cap)
-    if cert is not None:
-        raise NotInClassError("contains a cap", certificate=cert)
+    return None if cert is None else Recognition(False, cert, "contains a cap")
 
 
 def recognize_gutcap(g: Graph) -> Recognition:
-    return _recognize_leaves(g, _gutcap_leaf, _gutcap_global)
+    return _recognize(g, "gutcap")
 
 
 def mwc_gutcap(wg: WeightedGraph) -> tuple:
-    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf, _gutcap_global)
+    tree, joins = _leaf_solvers(wg.graph, "gutcap")
     return solve_mwc(wg, tree, [j.mwc for j in joins])
 
 
 def mwss_gutcap(wg: WeightedGraph) -> tuple:
-    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf, _gutcap_global)
+    tree, joins = _leaf_solvers(wg.graph, "gutcap")
     return solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
 def color_gutcap(g: Graph) -> Coloring:
-    tree, joins = _leaf_solvers(g, _gutcap_leaf, _gutcap_global)
+    tree, joins = _leaf_solvers(g, "gutcap")
     return solve_coloring(g, tree, [j.color for j in joins])
 
 
 def mwc_mwss_gutcap(wg: WeightedGraph) -> tuple:
     """((clique weight, clique), (stable weight, stable set)), over one
     decomposition tree and one classification of its leaves."""
-    tree, joins = _leaf_solvers(wg.graph, _gutcap_leaf, _gutcap_global)
+    tree, joins = _leaf_solvers(wg.graph, "gutcap")
     return solve_mwc(wg, tree, [j.mwc for j in joins]), solve_mwss(wg, tree, [j.mwss for j in joins])
 
 
@@ -601,9 +606,9 @@ def double_star_cutset_from_cap(g: Graph, cap: Certificate) -> frozenset[int]:
 
     star = g.closed_mask(x) | g.closed_mask(y)
     if mask_of(cut) & ~star:
-        raise NotInClassError("cutset escapes the closed neighborhoods of the attachment edge")
-    remaining = g.full_mask() & ~mask_of(cut)
-    side_c = component_of(g, c, remaining)
-    if side_c & mask_of(interior):
-        raise NotInClassError("cap vertex stays connected to the far rim")
-    return frozenset(cut)
+        reason = "cutset escapes the closed neighborhoods of the attachment edge"
+    elif component_of(g, c, g.full_mask() & ~mask_of(cut)) & mask_of(interior):
+        reason = "cap vertex stays connected to the far rim"
+    else:
+        return frozenset(cut)
+    raise NotInClassError(Recognition(False, reason=reason))

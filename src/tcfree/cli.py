@@ -239,34 +239,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {args.cls}/{args.problem}: {why}", file=sys.stderr)
         return 3
     wg = _read_weighted(args.graph)
+    payload = {"class": args.cls, "member": True, "certificate": None}
     try:
-        solution, value = _solve_dispatch(args.cls, args.problem, wg)
+        payload["solution"], payload["value"] = _solve_dispatch(args.cls, args.problem, wg)
     except NotInClassError as exc:
-        cert = exc.certificate.to_json_dict() if exc.certificate is not None else None
-        _emit(
-            {
-                "class": args.cls,
-                "member": False,
-                "certificate": _to_external(cert),
-                "solution": None,
-                "value": None,
-                "reason": str(exc),
-            }
-        )
-        return 1
+        rec = exc.rejection
+        cert = None if rec.certificate is None else _to_external(rec.certificate.to_json_dict())
+        payload.update(member=False, certificate=cert, solution=None, value=None, reason=rec.reason)
     except AssertionError as exc:
         print(f"internal verification failed: {exc}", file=sys.stderr)
         return 4
-    _emit(
-        {
-            "class": args.cls,
-            "member": True,
-            "certificate": None,
-            "solution": solution,
-            "value": value,
-        }
-    )
-    return 0
+    _emit(payload)
+    return 0 if payload["member"] else 1
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -318,6 +302,8 @@ def cmd_verify_chi(args: argparse.Namespace) -> int:
         raise CliError("--max-n above 16 is out of brute-force range")
     if args.trials < 1:
         raise CliError("--trials must be positive")
+    if args.max_n < 1:
+        raise CliError("--max-n must be positive")
     formula, bound_of = CHI_BOUNDS[args.cls]
     results = []
     all_ok = True

@@ -186,6 +186,8 @@ def _child_seed(rng: random.Random) -> int:
 def _sample_bu(rng: random.Random, max_n: int) -> Graph:
     """Member of the gu basic family: a long hole joined to a clique, or a
     complete multipartite graph with parts of size one or two."""
+    if max_n == 1:
+        return complete_graph(1)
     if max_n >= 6 and rng.random() < 0.6:
         ell = rng.randrange(5, min(9, max_n) + 1)
         t = rng.randrange(0, min(3, max_n - ell) + 1)
@@ -344,6 +346,8 @@ def gen_class_member(seed: int, cls: str, pieces: int = 2, max_n: int = 14) -> G
         raise ValueError(f"unknown class {cls!r}")
     if pieces < 1:
         raise ValueError("need at least one piece")
+    if max_n < 1:
+        raise ValueError("need max_n of at least one")
     rng = random.Random(seed)
     sampler = _PIECE_SAMPLERS[cls]
     g = sampler(rng, max_n)

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_graph
+from conftest import differential_graphs, rand_graph
 from tcfree import classes, decomposition, graphs
 from tcfree.chordal import is_chordal, simplicial_order
 from tcfree.classes import (
     CLASS_IDS,
     NotInClassError,
+    Recognition,
     color_gu,
     color_gutcap,
     double_star_cutset_from_cap,
@@ -394,7 +395,7 @@ def test_solvers_on_supersets_still_verify():
     with pytest.raises(NotInClassError) as exc:
         mwc_gt(wg)
     assert str(exc.value) == rec.reason
-    assert exc.value.leaf == rec.leaf
+    assert exc.value.rejection.leaf == rec.leaf
 
 
 def test_chi_bound_witnesses():
@@ -515,37 +516,66 @@ def test_solvers_decompose_once(monkeypatch, cls, solve):
 
 
 def test_solvers_reject_exactly_what_recognize_rejects():
-    # the solvers run the recognizer's leaf test on every atom; gutcap's
-    # global tests (K23, caps) stay with the recognizer
-    def raises(solver, arg):
+    # the recognizer and the solvers of a class read one analysis, global
+    # tests included, so each solver's rejection is the recognizer's:
+    # reason, certificate, leaf and anticomponent
+    def rejection(solver, arg):
         try:
             solver(arg)
-        except NotInClassError:
-            return True
-        return False
+        except NotInClassError as exc:
+            return exc.rejection
+        return None
 
     rng = random.Random(600)
-    rejected = {"gu": 0, "gt": 0, "gutcap": 0}
+    rejected = Counter()
     for _ in range(600):
         g = rand_graph(rng, rng.randrange(4, 11), rng.uniform(0.2, 0.9))
         wg = WeightedGraph(g, tuple(rng.randrange(-3, 10) for _ in range(g.n)))
-        member = recognize_gu(g).member
-        rejected["gu"] += not member
-        for solver, arg in ((mwc_gu, wg), (mwss_gu, wg), (color_gu, g)):
-            assert raises(solver, arg) == (not member), (solver.__name__, g.adj)
-        member = recognize_gt(g).member
-        rejected["gt"] += not member
-        for solver in (mwc_gt, mwss_gt):
-            assert raises(solver, wg) == (not member), (solver.__name__, g.adj)
-        rec = recognize_gutcap(g)
-        rejected["gutcap"] += rec.leaf is not None
-        for solver, arg in ((mwc_gutcap, wg), (mwss_gutcap, wg), (color_gutcap, g)):
-            if rec.leaf is not None:
-                assert raises(solver, arg), (solver.__name__, g.adj)
-            elif rec.member:
-                assert not raises(solver, arg), (solver.__name__, g.adj)
+        for recognize, solvers in (
+            (recognize_gu, ((mwc_gu, wg), (mwss_gu, wg), (color_gu, g))),
+            (recognize_gt, ((mwc_gt, wg), (mwss_gt, wg))),
+            (recognize_gutcap, ((mwc_gutcap, wg), (mwss_gutcap, wg), (color_gutcap, g))),
+        ):
+            rec = recognize(g)
+            for solver, arg in solvers:
+                assert rejection(solver, arg) == (None if rec.member else rec), (solver.__name__, g.adj)
+            if not rec.member:
+                rejected[recognize.__name__, "leaf" if rec.certificate is None else rec.certificate.kind] += 1
     # most gutcap non-members fail the global tests, so few reach a leaf
-    assert rejected["gu"] >= 50 and rejected["gt"] >= 50 and rejected["gutcap"] >= 1, rejected
+    assert rejected["recognize_gu", "leaf"] >= 50 and rejected["recognize_gt", "leaf"] >= 50, rejected
+    assert rejected["recognize_gutcap", "leaf"] >= 1, rejected
+    assert rejected["recognize_gutcap", K23] >= 50 and rejected["recognize_gutcap", CAP] >= 50, rejected
+
+
+def test_analysis_stops_at_the_first_failing_leaf():
+    # a global rejection comes before the tree; otherwise the leaf function
+    # runs on the leaves in tree order, and the leaves list holds its answers
+    # up to the first rejection, which names the next leaf of the tree
+    leaf_of = {"gut": classes._gut_leaf, "gu": classes._gu_leaf, "gt": classes._gt_leaf, "gutcap": classes._gutcap_leaf}
+    seen = Counter()
+    for g, _ in differential_graphs():
+        for cls in CLASS_IDS:
+            tree, leaves, rejection = classes.analyze(g, cls)
+            assert (tree is None) == (rejection is not None and rejection.certificate is not None), (cls, g.adj)
+            if tree is None:
+                assert leaves == [] and not rejection.member and rejection.leaf is None
+                seen[cls, "global"] += 1
+                continue
+            nodes = tree.leaves()
+            assert leaves == [leaf_of[cls](g, node.mask) for node in nodes[: len(leaves)]], (cls, g.adj)
+            assert not any(isinstance(got, Recognition) for got in leaves)
+            if rejection is None:
+                assert len(leaves) == len(nodes), (cls, g.adj)
+                seen[cls, "member"] += 1
+            else:
+                failing = nodes[len(leaves)]
+                assert rejection.leaf == frozenset(failing.vertices), (cls, g.adj)
+                assert rejection == leaf_of[cls](g, failing.mask) and not rejection.member
+                seen[cls, "leaf" if len(leaves) == 0 else "later leaf"] += 1
+    # every class has members and rejections at a leaf after the first;
+    # gut and gutcap reject most non-members by a global certificate
+    assert min(seen[cls, kind] for cls in CLASS_IDS for kind in ("member", "later leaf")) >= 10, seen
+    assert min(seen[cls, "global"] for cls in ("gut", "gutcap")) >= 100, seen
 
 
 def test_leaf_tests_copy_no_atom(monkeypatch):
@@ -633,8 +663,10 @@ def _ref_gut_leaf(g, atom):
         elif not any(is_stable_set(h, t) for t in combinations(range(h.n), 3)):
             out.append((classes.ALPHA2, (mask,)))
         else:
-            raise NotInClassError(
-                "leaf anticomponent is not a long ring, contains a long hole, and has a stable set of size three",
+            return Recognition(
+                False,
+                reason="leaf anticomponent is not a long ring, contains a long hole, "
+                "and has a stable set of size three",
                 leaf=frozenset(verts),
                 anticomponent=frozenset(verts[i] for i in ac),
             )
@@ -674,8 +706,10 @@ def _ref_gu_leaf(g, atom):
     sub, verts = induced_subgraph(g, atom)
     pieces = _ref_recognize_bu_h(sub)
     if pieces is None:
-        raise NotInClassError(
-            "leaf is not an expansion of a long hole or a path union by universal and pairwise-nonadjacent vertices",
+        return Recognition(
+            False,
+            reason="leaf is not an expansion of a long hole or a path union "
+            "by universal and pairwise-nonadjacent vertices",
             leaf=frozenset(verts),
         )
     return [(family, tuple(mask_of(verts[i] for i in iter_bits(p)) for p in parts)) for family, parts in pieces]
@@ -693,8 +727,9 @@ def _ref_gutcap_leaf(g, atom):
             continue
         parts = recognize_hyperhole(h)
         if parts is None or len(parts) < 5:
-            raise NotInClassError(
-                "leaf anticomponent is neither chordal nor a long hyperhole",
+            return Recognition(
+                False,
+                reason="leaf anticomponent is neither chordal nor a long hyperhole",
                 leaf=frozenset(verts),
                 anticomponent=frozenset(verts[i] for i in ac),
             )
@@ -719,10 +754,9 @@ def _outcome(leaf, g, atom):
     in their cyclic form: the walk that finds them starts at a vertex of
     highest degree, which may lie in another part of a copy than of a
     quotient."""
-    try:
-        got = leaf(g, atom)
-    except NotInClassError as exc:
-        return "rejected", str(exc), exc.leaf, exc.anticomponent
+    got = leaf(g, atom)
+    if isinstance(got, Recognition):
+        return "rejected", got.reason, got.leaf, got.anticomponent
     if not isinstance(got, list):
         got = [(piece.family, piece.parts) for piece in got.pieces]
     return "accepted", [(family, _cyclic_form(parts) if family == classes.RING else parts) for family, parts in got]
@@ -857,9 +891,8 @@ def test_leaf_pieces_carry_their_evidence():
     for g, masks in list(_leaf_differential_graphs(rng)) + list(members) + list(alpha2):
         for atom in masks:
             for leaf in (classes._gut_leaf, classes._gu_leaf, classes._gt_leaf, classes._gutcap_leaf):
-                try:
-                    got = leaf(g, atom)
-                except NotInClassError:
+                got = leaf(g, atom)
+                if isinstance(got, Recognition):
                     continue
                 pieces = got.pieces if isinstance(got, decomposition.Join) else (got,)
                 union = 0

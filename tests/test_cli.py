@@ -199,6 +199,12 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["verify-chi", "--class", "gu", "--trials", "0"])
     assert code == 2 and "must be positive" in err
 
+    code, _, err = run(capsys, ["verify-chi", "--class", "gt", "--max-n", "0"])
+    assert code == 2 and "--max-n must be positive" in err
+
+    code, _, err = run(capsys, ["generate", "--kind", "member", "--class", "gu", "--max-n", "0"])
+    assert code == 2 and "max_n of at least one" in err
+
     code, _, _ = run(capsys, [])
     assert code == 2
 

@@ -139,6 +139,16 @@ def test_generator_rejects_bad_parameters():
         gen_class_member(0, "gx")
     with pytest.raises(ValueError, match="at least one piece"):
         gen_class_member(0, "gu", pieces=0)
+    with pytest.raises(ValueError, match="max_n of at least one"):
+        gen_class_member(0, "gu", max_n=0)
+
+
+def test_gen_class_member_stays_within_small_max_n():
+    for cls in ("gut", "gu", "gt", "gutcap"):
+        for max_n in range(1, 5):
+            for seed in range(100):
+                g = gen_class_member(seed, cls, max_n=max_n)
+                assert 1 <= g.n <= max_n, (cls, max_n, seed)
 
 
 def test_staircase_cobipartite_shape():
