@@ -110,18 +110,6 @@ class Recognition:
     def __bool__(self) -> bool:
         return self.member
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"member": self.member}
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json_dict()
-        if self.reason:
-            out["reason"] = self.reason
-        if self.leaf is not None:
-            out["leaf"] = sorted(self.leaf)
-        if self.anticomponent is not None:
-            out["anticomponent"] = sorted(self.anticomponent)
-        return out
-
 
 # Each class has one leaf function, leaf(g, atom), the one place that
 # decides an atom's family: it runs the class's basic-family test on the
@@ -202,14 +190,7 @@ def _twin_quotient_search(g: Graph) -> Callable[..., Optional[Certificate]]:
 
     def search(find: Callable[..., Optional[Certificate]], *args) -> Optional[Certificate]:
         cert = find(quotient, *args)
-        if cert is None:
-            return None
-        return Certificate(
-            cert.kind,
-            tuple(reps[v] for v in cert.vertices),
-            None if cert.center is None else reps[cert.center],
-            None if cert.paths is None else tuple(tuple(reps[v] for v in p) for p in cert.paths),
-        )
+        return None if cert is None else cert.relabel(reps.__getitem__)
 
     return search
 

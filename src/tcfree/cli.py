@@ -3,8 +3,9 @@
 Subcommands: recognize, solve, decompose, generate, verify-chi. Graphs are
 read in the text format (vertices numbered from 1); "-" reads stdin. Results
 go to stdout as JSON with vertex labels matching the input numbering,
-diagnostics go to stderr. generate writes the text format instead so its
-output pipes straight back into the other commands.
+diagnostics go to stderr. Only this module writes JSON, from the library's
+0-based values. generate writes the text format instead so its output
+pipes straight back into the other commands.
 
 Exit codes: 0 success or member, 1 non-member, 2 input error, 3 unsupported
 class/problem pair, 4 internal verification failure.
@@ -40,6 +41,7 @@ from .classes import (
     recognize_gutcap,
 )
 from .decomposition import DecompositionTree, build_tree
+from .detectors import Certificate
 from .generators import (
     gen_chordal,
     gen_class_member,
@@ -49,7 +51,7 @@ from .generators import (
     rand_sizes,
 )
 from .graphs import Coloring, WeightedGraph, is_clique, is_proper_coloring, is_stable_set
-from .io import ParseError, _decimal_text, format_graph, parse_graph
+from .io import MAX_VERTICES, ParseError, _decimal_text, format_graph, parse_graph
 from .oracles import brute_chi, brute_omega_w
 
 _RECOGNIZERS = {
@@ -102,34 +104,16 @@ def _read_weighted(path: str) -> WeightedGraph:
         raise CliError(str(exc)) from None
 
 
-_VERTEX_LIST_KEYS = {"vertices", "paths", "parts", "leaf", "anticomponent"}
-_VERTEX_INT_KEYS = {"center"}
+def _certificate(cert: Certificate) -> dict:
+    """The certificate's fields in 1-based labels, center and paths if set."""
+    cert = cert.relabel((1).__add__)
+    fields = {"kind": cert.kind, "vertices": cert.vertices, "center": cert.center, "paths": cert.paths}
+    return {key: value for key, value in fields.items() if value is not None}
 
 
-def _shift_nested(value: list) -> list:
-    if value and not isinstance(value[0], int):
-        return [_shift_nested(x) for x in value]
-    return [x + 1 for x in value]
-
-
-def _to_external(obj):
-    """Rewrite 0-based internal vertex labels to the 1-based text-format
-    numbering inside a JSON-ready structure."""
-    if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if value is None:
-                out[key] = None
-            elif key in _VERTEX_INT_KEYS and isinstance(value, int):
-                out[key] = value + 1
-            elif key in _VERTEX_LIST_KEYS:
-                out[key] = _shift_nested(value)
-            else:
-                out[key] = _to_external(value)
-        return out
-    if isinstance(obj, list):
-        return [_to_external(x) for x in obj]
-    return obj
+def _check_size(n: int, option: str) -> None:
+    if n > MAX_VERTICES:
+        raise CliError(f"{option} asks for {n} vertices, more than the limit of {MAX_VERTICES}")
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -208,8 +192,14 @@ def _write_tree(tree: DecompositionTree, n: int) -> None:
 def cmd_recognize(args: argparse.Namespace) -> int:
     wg = _read_weighted(args.graph)
     rec = _RECOGNIZERS[args.cls](wg.graph)
-    payload = {"class": args.cls, "certificate": None}
-    payload.update(_to_external(rec.to_json_dict()))
+    cert = None if rec.certificate is None else _certificate(rec.certificate)
+    payload = {"class": args.cls, "member": rec.member, "certificate": cert}
+    if rec.reason:
+        payload["reason"] = rec.reason
+    if rec.leaf is not None:
+        payload["leaf"] = sorted(v + 1 for v in rec.leaf)
+    if rec.anticomponent is not None:
+        payload["anticomponent"] = sorted(v + 1 for v in rec.anticomponent)
     _emit(payload)
     return 0 if rec.member else 1
 
@@ -244,7 +234,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         payload["solution"], payload["value"] = _solve_dispatch(args.cls, args.problem, wg)
     except NotInClassError as exc:
         rec = exc.rejection
-        cert = None if rec.certificate is None else _to_external(rec.certificate.to_json_dict())
+        cert = None if rec.certificate is None else _certificate(rec.certificate)
         payload.update(member=False, certificate=cert, solution=None, value=None, reason=rec.reason)
     except AssertionError as exc:
         print(f"internal verification failed: {exc}", file=sys.stderr)
@@ -275,10 +265,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
             sizes = _parse_sizes(args.sizes)
             if len(sizes) != args.k:
                 raise CliError("--sizes must list one size per part")
+            _check_size(sum(sizes), "--sizes")
             if args.kind == "ring":
                 g, partition = gen_ring(args.seed, args.k, sizes)
-                parts = _to_external(partition.to_json_dict())
-                print(json.dumps(parts, sort_keys=True), file=sys.stderr)
+                parts = [[v + 1 for v in part] for part in partition.parts]
+                print(json.dumps({"k": partition.k, "parts": parts}, sort_keys=True), file=sys.stderr)
             elif args.kind == "hyperhole":
                 g = gen_hyperhole(args.seed, args.k, sizes)
             else:
@@ -286,10 +277,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         elif args.kind == "chordal":
             if args.n is None:
                 raise CliError("--kind chordal requires --n")
+            _check_size(args.n, "--n")
             g = gen_chordal(args.seed, args.n, args.density)
         else:
             if args.cls is None:
                 raise CliError("--kind member requires --class")
+            _check_size(args.max_n, "--max-n")
             g = gen_class_member(args.seed, args.cls, args.pieces, args.max_n)
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -304,14 +297,15 @@ def cmd_verify_chi(args: argparse.Namespace) -> int:
         raise CliError("--trials must be positive")
     if args.max_n < 1:
         raise CliError("--max-n must be positive")
+    if args.cls == "hyperantihole7" and args.max_n < 7:
+        raise CliError("--max-n below 7 cannot hold a 7-hyperantihole")
     formula, bound_of = CHI_BOUNDS[args.cls]
     results = []
     all_ok = True
     for index in range(args.trials):
         trial_seed = args.seed + index
         if args.cls == "hyperantihole7":
-            rng = random.Random(trial_seed)
-            g = gen_hyperantihole(trial_seed, 7, rand_sizes(rng, 7, max(7, args.max_n)))
+            g = gen_hyperantihole(trial_seed, 7, rand_sizes(random.Random(trial_seed), 7, args.max_n))
         else:
             g = gen_class_member(trial_seed, args.cls, pieces=2, max_n=args.max_n)
         omega = brute_omega_w(WeightedGraph(g, (1,) * g.n))

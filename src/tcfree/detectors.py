@@ -21,7 +21,7 @@ leaf's stable-set test share graphs.stable_triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .graphs import Graph, is_clique, iter_bits, mask_of, shortest_path, stable_triple
 
@@ -57,13 +57,15 @@ class Certificate:
     center: Optional[int] = None
     paths: Optional[tuple[tuple[int, ...], ...]] = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "vertices": list(self.vertices)}
-        if self.center is not None:
-            out["center"] = self.center
-        if self.paths is not None:
-            out["paths"] = [list(p) for p in self.paths]
-        return out
+    def relabel(self, label: Callable[[int], int]) -> Certificate:
+        """The same witness with each vertex v written as label(v); an
+        increasing label keeps sorted unions and canonical rims canonical."""
+        return Certificate(
+            self.kind,
+            tuple(map(label, self.vertices)),
+            None if self.center is None else label(self.center),
+            None if self.paths is None else tuple(tuple(map(label, p)) for p in self.paths),
+        )
 
 
 def canonical_cycle(order: list[int] | tuple[int, ...]) -> tuple[int, ...]:

@@ -36,9 +36,6 @@ class GoodPartition:
     def k(self) -> int:
         return len(self.parts)
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "parts": [list(p) for p in self.parts]}
-
 
 def verify_good_partition(g: Graph, parts: Sequence[Sequence[int]]) -> bool:
     """Check the ring conditions for a cyclic sequence of parts: nonempty

@@ -205,6 +205,21 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["generate", "--kind", "member", "--class", "gu", "--max-n", "0"])
     assert code == 2 and "max_n of at least one" in err
 
+    code, _, err = run(capsys, ["verify-chi", "--class", "hyperantihole7", "--max-n", "3"])
+    assert code == 2 and "--max-n below 7" in err
+
+    # generate refuses graphs that parse_graph would refuse, before building
+    # them; the size check comes before the generator's own (the zero part)
+    for argv in (
+        ["--kind", "chordal", "--n", "10001", "--density", "0"],
+        ["--kind", "hyperhole", "--k", "4", "--sizes", "10001,0,1,1"],
+        ["--kind", "member", "--class", "gu", "--max-n", "10001"],
+    ):
+        code, out, err = run(capsys, ["generate", *argv])
+        assert code == 2 and out == "" and "more than the limit of 10000" in err, argv
+    code, out, _ = run(capsys, ["generate", "--kind", "chordal", "--n", "10000", "--density", "0"])
+    assert code == 0 and out.startswith("p 10000 9999\n")
+
     code, _, _ = run(capsys, [])
     assert code == 2
 
@@ -236,10 +251,7 @@ def test_generate_is_deterministic_and_pipes(tmp_path, capsys):
     code2, out2, err2 = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
-    assert err1 == err2
-    partition = json.loads(err1)
-    assert sorted(len(p) for p in partition["parts"]) == [1, 1, 1, 2, 2]
-    assert min(v for part in partition["parts"] for v in part) == 1
+    assert err1 == err2 == '{"k": 5, "parts": [[1, 2], [3], [4, 5], [6], [7]]}\n'
 
     wg = parse_graph(out1)
     assert wg.graph.n == 7
@@ -379,8 +391,21 @@ def _json_dumps_text(payload) -> str:
 
 
 def _recognize_payload(cls, rec):
-    payload = {"class": cls, "certificate": None}
-    payload.update(cli._to_external(rec.to_json_dict()))
+    """The dict recognize writes, built by hand from rec's fields in 1-based
+    labels."""
+    payload = {"class": cls, "member": rec.member, "certificate": None}
+    cert = rec.certificate
+    if cert is not None:
+        payload["certificate"] = {"kind": cert.kind, "vertices": [v + 1 for v in cert.vertices]}
+        if cert.center is not None:
+            payload["certificate"]["center"] = cert.center + 1
+        if cert.paths is not None:
+            payload["certificate"]["paths"] = [[v + 1 for v in p] for p in cert.paths]
+    if rec.reason:
+        payload["reason"] = rec.reason
+    for key in ("leaf", "anticomponent"):
+        if getattr(rec, key) is not None:
+            payload[key] = sorted(v + 1 for v in getattr(rec, key))
     return payload
 
 

@@ -104,6 +104,22 @@ def test_check_certificate_three_path_kinds():
     assert not check_certificate(pyramid, bad)
 
 
+def test_certificate_relabel_maps_every_vertex_field():
+    k23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    theta = Certificate(THETA, tuple(range(5)), paths=((0, 2, 1), (0, 3, 1), (0, 4, 1)))
+    wheel = Certificate(UNIVERSAL_WHEEL, (0, 1, 2, 3), center=4)
+    wheel_graph = join_graphs(cycle_graph(4), complete_graph(1))
+    # an increasing map keeps sorted unions and canonical rims as they are
+    spread = (2).__mul__
+    for g, cert in ((k23, theta), (wheel_graph, wheel)):
+        image = cert.relabel(spread)
+        assert image.kind == cert.kind and image.vertices == tuple(2 * v for v in cert.vertices)
+        assert check_certificate(Graph(10, [(2 * u, 2 * v) for u, v in g.edges()]), image)
+    assert theta.relabel(spread).paths == ((0, 4, 2), (0, 6, 2), (0, 8, 2))
+    assert theta.relabel(spread).center is None
+    assert wheel.relabel(spread).center == 8 and wheel.relabel(spread).paths is None
+
+
 def test_check_certificate_small_obstructions():
     k23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert check_certificate(k23, Certificate(K23, tuple(range(5))))

@@ -1,12 +1,15 @@
-"""Smoke tests of the experiment scripts under scripts/."""
+"""Smoke tests of the experiment scripts under scripts/, and of the names the
+benchmark looks up in tcfree."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-from tcfree import classes
+from tcfree import classes, detectors
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BENCHMARK = SCRIPTS.parent / "benchmark"
 
 
 def _load(name: str):
@@ -54,3 +57,17 @@ def test_chi_sweep_reads_one_verify_chi_report_per_bound(capsys):
         assert fail == "0" and 0 < float(ratio) <= 1 and seed.startswith("@"), row
         # the gap histogram counts every trial once
         assert sum(int(gap.split(":")[1]) for gap in gaps) == 3, row
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    # the benchmark wraps and calls library functions by name, so a rename
+    # in src/ must fail here and not only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    run = importlib.import_module("run")
+    spans = importlib.import_module("spans")
+    for name in spans.TRACED:
+        module, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"tcfree.{module}"), attr, None)), name
+    for name in run.SOLVER_OF.values():
+        assert callable(getattr(classes, name, None)), name
+    assert set(spans.SMALL_OBSTRUCTIONS) == {detectors.K23, detectors.C6BAR, detectors.W54}
